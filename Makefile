@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file needs gofmt.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test: vet
 	$(GO) test ./...

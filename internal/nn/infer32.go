@@ -163,10 +163,10 @@ func (l *LSTM) StepInferBatch(X [][]float32, s *LSTMScratch32) [][]float32 {
 		cr := s.c[b*H : (b+1)*H]
 		hr := s.h[b*H : (b+1)*H]
 		gt := s.gt
-		vtanh32(gt[:H], z[:H], 0.5)          // input gate
-		vtanh32(gt[H:2*H], z[H:2*H], 0.5)    // forget gate
-		vtanh32(gt[2*H:3*H], z[2*H:3*H], 1)  // cell candidate
-		vtanh32(gt[3*H:], z[3*H:], 0.5)      // output gate
+		vtanh32(gt[:H], z[:H], 0.5)         // input gate
+		vtanh32(gt[H:2*H], z[H:2*H], 0.5)   // forget gate
+		vtanh32(gt[2*H:3*H], z[2*H:3*H], 1) // cell candidate
+		vtanh32(gt[3*H:], z[3*H:], 0.5)     // output gate
 		for j := 0; j < H; j++ {
 			ig := 0.5 + 0.5*gt[j]
 			fg := 0.5 + 0.5*gt[H+j]

@@ -223,12 +223,12 @@ type Dispatcher struct {
 	// and isolation layers.
 	runFn func(*experiments.Runner, core.Options) (*core.Result, error)
 
-	mu    sync.Mutex
-	cond  *sync.Cond // signals queue activity to the scheduler
-	tasks map[string]*task
-	order []string // task IDs in submission order, for retention eviction
-	queue taskQueue
-	seq   int
+	mu       sync.Mutex
+	cond     *sync.Cond // signals queue activity to the scheduler
+	tasks    map[string]*task
+	retained map[RetentionClass]*classRecords
+	queue    taskQueue
+	seq      int
 
 	taskCh chan runTask
 
@@ -281,6 +281,7 @@ func newDispatcher(cfg Config, runFn func(*experiments.Runner, core.Options) (*c
 		log:       cfg.Logger,
 		runFn:     runFn,
 		tasks:     make(map[string]*task),
+		retained:  map[RetentionClass]*classRecords{RetentionStandard: {}, RetentionHeavy: {}},
 		taskCh:    make(chan runTask),
 		schedDone: make(chan struct{}),
 	}
@@ -391,8 +392,7 @@ func (d *Dispatcher) recoverOne(kind *TaskKind, rec journalRecord) error {
 	d.m.queueAdd(t, 1)
 	d.m.submitted[kind.Plural].Inc()
 	d.appendEventLocked(t, EventQueued, fmt.Sprintf("queue depth %d", d.queue.depth()))
-	d.tasks[t.id] = t
-	d.order = append(d.order, t.id)
+	d.recordLocked(t)
 	d.mu.Unlock()
 	return nil
 }
@@ -425,9 +425,8 @@ func (d *Dispatcher) recordReplayFailure(kind *TaskKind, rec journalRecord, caus
 	d.appendEventLocked(t, EventSubmitted, fmt.Sprintf("%s (recovered from journal)", kind.Name))
 	d.appendEventLocked(t, EventFailed, t.errMsg)
 	d.m.finished[kind.Plural][StatusFailed].Inc()
-	d.tasks[t.id] = t
-	d.order = append(d.order, t.id)
-	d.pruneLocked()
+	d.recordLocked(t)
+	d.retireLocked(t)
 	d.mu.Unlock()
 	d.log.Warn("journal replay failed for task", "task", t.id, "err", cause)
 }
@@ -560,8 +559,7 @@ func (d *Dispatcher) SubmitTask(kind *TaskKind, spec TaskSpec, priority Priority
 	d.m.queueAdd(t, 1)
 	d.m.submitted[kind.Plural].Inc()
 	d.appendEventLocked(t, EventQueued, fmt.Sprintf("queue depth %d", d.queue.depth()))
-	d.tasks[t.id] = t
-	d.order = append(d.order, t.id)
+	d.recordLocked(t)
 	d.cond.Signal()
 	d.log.Debug("task submitted",
 		"task", t.id, "kind", kind.Name, "priority", string(queueClass(priority)),
@@ -672,7 +670,7 @@ func (d *Dispatcher) cancelTask(id string, kind *TaskKind) (TaskView, error) {
 		d.appendEventLocked(t, EventCanceled, "canceled while queued")
 		d.closeSubsLocked(t)
 		d.journalTerminal(t, "")
-		d.pruneLocked()
+		d.retireLocked(t)
 		d.log.Info("task canceled while queued", "task", t.id, "kind", t.kind.Name)
 	case StatusRunning:
 		// Idempotent: only the first request counts and leaves a
@@ -829,9 +827,9 @@ func (d *Dispatcher) scheduler() {
 // executeTask runs one task (already marked running by the scheduler)
 // through its kind's Run on the shard executor, then finalizes the
 // record: done with its result, failed with its error, or canceled with
-// partial results discarded. The terminal transition is journaled (for
-// done tasks, with a fingerprint of the wire-shaped result) so a
-// restart never replays finished work.
+// partial results discarded. With a journal configured, the terminal
+// transition is journaled (for done tasks, with a fingerprint of the
+// wire-shaped result) so a restart never replays finished work.
 func (d *Dispatcher) executeTask(t *task) {
 	canceled := func() bool {
 		return t.cancel.Load() || d.halted.Load()
@@ -875,10 +873,10 @@ func (d *Dispatcher) executeTask(t *task) {
 	}
 	result, stats, err := d.safeRun(t, env)
 
-	// Fingerprint the result before taking the lock (a report marshals
-	// ~0.5 MB); only used if the task finalizes as done.
+	// Fingerprint the result for the journal before taking the lock (a
+	// report marshals ~0.5 MB); only used if the task finalizes as done.
 	var resultHash string
-	if err == nil && !t.cancel.Load() {
+	if d.journal != nil && err == nil && !t.cancel.Load() {
 		resultHash = wireHash(t.kind, t.hash, result)
 	}
 
@@ -915,7 +913,7 @@ func (d *Dispatcher) executeTask(t *task) {
 	// plan (a 10k-run job's plan is megabytes of resolved options).
 	t.prep.Run = nil
 	d.journalTerminal(t, resultHash)
-	d.pruneLocked()
+	d.retireLocked(t)
 	status, completed, cacheHits, errMsg := t.status, t.completed.Load(), t.cacheHits.Load(), t.errMsg
 	d.mu.Unlock()
 	close(t.done)
@@ -962,7 +960,9 @@ func (d *Dispatcher) safeRun(t *task, env TaskEnv) (result any, stats TaskStats,
 }
 
 // wireHash fingerprints a finished task's results-endpoint encoding
-// (SHA-256 of the wire JSON); empty when the result does not marshal.
+// (SHA-256 of the wire JSON) for its journaled done record; empty when
+// the result does not marshal. It is computed only when a journal is
+// configured: nothing else reads it, and a report marshals ~0.5 MB.
 func wireHash(kind *TaskKind, hash string, result any) string {
 	b, err := json.Marshal(kind.Wire(hash, result))
 	if err != nil {
@@ -1009,41 +1009,53 @@ func (d *Dispatcher) Halt(ctx context.Context) error {
 	return d.Drain(ctx)
 }
 
-// pruneLocked evicts the oldest finished task records once a retention
-// class holds more than its cap, so a long-lived daemon's memory is
-// bounded by the record caps rather than its submission history. Queued
-// and running tasks are never evicted. d.mu must be held.
-func (d *Dispatcher) pruneLocked() {
-	for _, class := range []RetentionClass{RetentionStandard, RetentionHeavy} {
-		d.pruneClassLocked(class, d.cfg.retentionCap(class))
-	}
+// classRecords is one retention class's share of the task records: the
+// class's records in submission order, live and terminal alike, and how
+// many of them are terminal. Eviction pops terminal records off the
+// head, so it never rescans the retained set.
+type classRecords struct {
+	queue    []*task
+	terminal int
 }
 
-// pruneClassLocked applies the retention cap to one class: once more
-// than max records of the class are finished, the oldest finished ones
-// (in submission order) are evicted until the cap holds. d.mu must be
-// held.
-func (d *Dispatcher) pruneClassLocked(class RetentionClass, max int) {
-	n := 0
-	for _, id := range d.order {
-		if t := d.tasks[id]; t.kind.Class == class && t.status.terminal() {
-			n++
-		}
-	}
-	if n <= max {
+// recordLocked makes a new task record visible and appends it to its
+// retention class's submission-order queue. d.mu must be held.
+func (d *Dispatcher) recordLocked(t *task) {
+	d.tasks[t.id] = t
+	r := d.retained[t.kind.Class]
+	r.queue = append(r.queue, t)
+}
+
+// retireLocked counts t's transition to a terminal status and applies
+// its class's retention cap: past the cap, the oldest finished records
+// in submission order (not finish order, which priority and aging
+// reorder) are evicted until the cap holds, so a long-lived daemon's
+// memory is bounded by the record caps rather than its submission
+// history. Queued and running records met at the head of the queue stay
+// in place; the cost is O(evicted + live prefix). d.mu must be held.
+func (d *Dispatcher) retireLocked(t *task) {
+	r := d.retained[t.kind.Class]
+	r.terminal++
+	limit := d.cfg.retentionCap(t.kind.Class)
+	if r.terminal <= limit {
 		return
 	}
-	kept := d.order[:0]
-	for _, id := range d.order {
-		t := d.tasks[id]
-		if n > max && t.kind.Class == class && t.status.terminal() {
-			delete(d.tasks, id)
-			n--
-			continue
+	live, i := 0, 0
+	for ; i < len(r.queue) && r.terminal > limit; i++ {
+		if qt := r.queue[i]; qt.status.terminal() {
+			delete(d.tasks, qt.id)
+			r.terminal--
+		} else {
+			r.queue[live] = qt
+			live++
 		}
-		kept = append(kept, id)
 	}
-	d.order = kept
+	// Slide the live prefix up against the unscanned tail, then clear
+	// the vacated head slots: re-slicing alone would leave the evicted
+	// records, and their results, reachable through the backing array.
+	copy(r.queue[i-live:i], r.queue[:live])
+	clear(r.queue[:i-live])
+	r.queue = r.queue[i-live:]
 }
 
 // runTask is one run dispatched to a worker shard: the planned run plus

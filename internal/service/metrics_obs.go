@@ -167,21 +167,21 @@ func queueClass(p PriorityClass) PriorityClass {
 // one source of truth behind both CacheStats (the /healthz wire format)
 // and the adasim_cache_* series.
 type cacheMetrics struct {
-	hits       *obs.Counter
-	misses     *obs.Counter
-	diskHits   *obs.Counter
+	hits     *obs.Counter
+	misses   *obs.Counter
+	diskHits *obs.Counter
 	// encodedHits/encodedMisses track Encoded lookups — the results
 	// serve path — separately, so warm results polls can be discounted
 	// from the hit rate they also count into.
 	encodedHits   *obs.Counter
 	encodedMisses *obs.Counter
 	evictions     *obs.Counter
-	entries    *obs.Gauge
-	maxEntries *obs.Gauge
-	errWrite   *obs.Counter
-	errRead    *obs.Counter
-	errDecode  *obs.Counter
-	diskRead   *obs.Histogram
+	entries       *obs.Gauge
+	maxEntries    *obs.Gauge
+	errWrite      *obs.Counter
+	errRead       *obs.Counter
+	errDecode     *obs.Counter
+	diskRead      *obs.Histogram
 
 	// Segment-store handles (see segstore.go). Registered even when the
 	// disk tier is off — an unused series at zero is cheaper to reason
@@ -205,14 +205,14 @@ func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
 	}
 	errHelp := "Disk result-store failures by operation (plain read misses excluded)."
 	return &cacheMetrics{
-		hits:       reg.Counter("adasim_cache_hits_total", "Result-cache hits (disk hits included)."),
-		misses:     reg.Counter("adasim_cache_misses_total", "Result-cache misses (memory and disk)."),
-		diskHits:   reg.Counter("adasim_cache_disk_hits_total", "Result-cache hits served from the disk store."),
+		hits:     reg.Counter("adasim_cache_hits_total", "Result-cache hits (disk hits included)."),
+		misses:   reg.Counter("adasim_cache_misses_total", "Result-cache misses (memory and disk)."),
+		diskHits: reg.Counter("adasim_cache_disk_hits_total", "Result-cache hits served from the disk store."),
 		encodedHits: reg.Counter("adasim_cache_encoded_reads_total",
 			"Canonical-bytes lookups via Encoded (the results serve path), by result.", obs.L("result", "hit")),
 		encodedMisses: reg.Counter("adasim_cache_encoded_reads_total",
 			"Canonical-bytes lookups via Encoded (the results serve path), by result.", obs.L("result", "miss")),
-		evictions: reg.Counter("adasim_cache_evictions_total", "LRU evictions from the in-memory result cache."),
+		evictions:  reg.Counter("adasim_cache_evictions_total", "LRU evictions from the in-memory result cache."),
 		entries:    reg.Gauge("adasim_cache_entries", "Entries currently in the in-memory result cache."),
 		maxEntries: reg.Gauge("adasim_cache_max_entries", "Configured in-memory result-cache capacity."),
 		errWrite:   reg.Counter("adasim_cache_disk_errors_total", errHelp, obs.L("op", "write")),

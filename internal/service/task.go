@@ -8,6 +8,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -200,9 +201,9 @@ type task struct {
 	// advance them without taking the dispatcher lock. They only ever
 	// move forward (CAS-max) while the task runs; the finalize path
 	// stores the authoritative totals.
-	completed atomic.Int64
-	cacheHits atomic.Int64
-	errMsg    string
+	completed   atomic.Int64
+	cacheHits   atomic.Int64
+	errMsg      string
 	submittedAt time.Time
 	startedAt   *time.Time
 	finishedAt  *time.Time
@@ -298,13 +299,17 @@ func (q *taskQueue) push(t *task) {
 // interactive work (feeds the aging-promotions counter).
 func (q *taskQueue) pop(ageAfter int) (t *task, promoted bool) {
 	popBulk := len(q.interactive) == 0 || (len(q.bulk) > 0 && q.overtakes >= ageAfter)
+	// Popped slots are cleared: the backing arrays outlive the pops, and
+	// must not keep finished (or evicted) records reachable.
 	if popBulk && len(q.bulk) > 0 {
 		t := q.bulk[0]
+		q.bulk[0] = nil
 		q.bulk = q.bulk[1:]
 		q.overtakes = 0
 		return t, len(q.interactive) > 0
 	}
 	t = q.interactive[0]
+	q.interactive[0] = nil
 	q.interactive = q.interactive[1:]
 	if len(q.bulk) > 0 {
 		q.overtakes++
@@ -320,7 +325,7 @@ func (q *taskQueue) remove(t *task) {
 	for _, class := range []*[]*task{&q.interactive, &q.bulk} {
 		for i, qt := range *class {
 			if qt == t {
-				*class = append((*class)[:i], (*class)[i+1:]...)
+				*class = slices.Delete(*class, i, i+1)
 				if len(q.bulk) == 0 {
 					q.overtakes = 0
 				}
