@@ -22,12 +22,16 @@ test-race:
 
 # fuzz-smoke runs each native fuzz target briefly over its seeded corpus
 # (the golden wire-format fixtures): strict spec decoding must never
-# panic and decode->Normalized->encode must be a fixed point.
+# panic and decode->Normalized->encode must be a fixed point. The
+# segment-store target boots the cache's disk tier on arbitrary segment
+# and sidecar bytes: it must never panic, and every indexed read must
+# return CRC-clean bytes or be dropped and counted.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/explore
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/report
+	$(GO) test -run '^$$' -fuzz FuzzSegmentStoreOpen -fuzztime=$(FUZZTIME) ./internal/service
 
 # cover writes a coverage profile, prints the per-function summary tail
 # (the total), and enforces the ratchet gate: the total must not drop
@@ -55,7 +59,7 @@ bench:
 		echo "backed up previous BENCH_step.json to BENCH_history/"; \
 	fi
 	$(GO) test -json -run '^$$' \
-		-bench 'BenchmarkSimulationStep$$|BenchmarkLSTMInfer$$|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
+		-bench 'BenchmarkSimulationStep$$|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
 		-benchmem -benchtime=2s -timeout 30m . > BENCH_step.json
 	@grep -o '"Output":"[^"]*"' BENCH_step.json | sed 's/"Output":"//;s/"$$//' \
 		| tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
@@ -63,8 +67,8 @@ bench:
 # bench-check is the perf smoke gate (see scripts/bench_check.sh): it
 # fails if the hot simulation step allocates at all, if the paired
 # interleaved instrumentation-overhead measurement exceeds 10%, or if
-# the segment store loses its contracted margins over the legacy JSON
-# disk tier (disk hit >= 5x, cold-start index build >= 10x).
+# the segment store loses its contracted margins over a one-file-per-
+# entry JSON baseline (disk hit >= 1.25x, cold-start index build >= 10x).
 bench-check:
 	./scripts/bench_check.sh
 

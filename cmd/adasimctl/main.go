@@ -331,8 +331,7 @@ func cmdTaskGet(c *client.Client, args []string, suffix string) error {
 
 // cmdCache renders the result-cache slice of /healthz: the in-memory
 // LRU counters, and — when the disk tier is on — the segment store's
-// segment/index/byte accounting and its compaction, GC, and migration
-// history.
+// segment/index/byte accounting and its compaction and GC history.
 func cmdCache(c *client.Client) error {
 	var health service.HealthResponse
 	if err := c.GetJSON("/healthz", &health); err != nil {
@@ -356,8 +355,8 @@ func cmdCache(c *client.Client) error {
 		fmt.Printf(" (budget %d)", d.MaxBytes)
 	}
 	fmt.Println()
-	fmt.Printf("maintenance: %d compactions, %d segments gc'd (%d bytes), %d legacy migrations, %d corrupt records\n",
-		d.Compactions, d.GCSegments, d.GCBytes, d.Migrations, d.CorruptRecords)
+	fmt.Printf("maintenance: %d compactions, %d segments gc'd (%d bytes), %d corrupt records\n",
+		d.Compactions, d.GCSegments, d.GCBytes, d.CorruptRecords)
 	if e := st.DiskErrors; e.Read+e.Write+e.Decode > 0 {
 		fmt.Printf("disk errors: %d read, %d write, %d decode\n", e.Read, e.Write, e.Decode)
 	}

@@ -2,13 +2,17 @@ package nn
 
 import "fmt"
 
-// This file is the batched float32 inference path. The float64 fast
-// path (infer.go) runs one GEMV per sequence per timestep and is bound
-// by scalar load throughput; here B concurrent sequences share one
-// (B x In) x (In x 4H) GEMM per layer per timestep, so each weight row
-// is loaded once per timestep for the whole batch and the multiply-adds
-// vectorize eight lanes wide. Training stays float64 — the scratch
-// projects the weights to float32 once at Refresh.
+// This file is the inference path: batched float32, allocation-free in
+// steady state. Training (Forward/Backward) clones vectors and builds
+// per-timestep caches for backpropagation; the closed-loop simulator
+// calls the network every control cycle and never backpropagates, so
+// inference works entirely on caller-owned scratch buffers. B
+// concurrent sequences share one (B x In) x (In x 4H) GEMM per layer
+// per timestep, so each weight row is loaded once per timestep for the
+// whole batch and the multiply-adds vectorize eight lanes wide.
+// Training stays float64 — the scratch projects the weights to float32
+// once at Refresh. See DESIGN.md ("Performance") for the scratch-
+// ownership conventions.
 //
 // Determinism contract (the mitigation batcher depends on it): for a
 // given network, a sequence's outputs are a pure function of that
@@ -74,7 +78,8 @@ func (l *LSTM) NewScratch32(maxBatch int) *LSTMScratch32 {
 }
 
 // Refresh re-projects the layer weights into the scratch's transposed
-// float32 layout, same contract as LSTMScratch.Refresh.
+// float32 layout. Call it after the layer has been (re)trained to keep
+// an existing scratch usable; NewScratch32 calls it on construction.
 func (s *LSTMScratch32) Refresh(l *LSTM) {
 	H4 := 4 * l.HiddenSize
 	for i := 0; i < H4; i++ {
@@ -89,6 +94,17 @@ func (s *LSTMScratch32) Refresh(l *LSTM) {
 		s.b[i] = float32(v)
 	}
 	s.version = l.version
+}
+
+// checkVersion panics when the layer weights have moved past the
+// versions the scratch captured — predicting would silently use the
+// pre-retrain weights otherwise. scratchKind names the scratch type in
+// the message.
+func checkVersion(scratchKind string, scratchVer, layerVer uint64) {
+	if scratchVer != layerVer {
+		panic(fmt.Sprintf("nn: stale %s: weights at version %d, scratch captured version %d — call Refresh after (re)training",
+			scratchKind, layerVer, scratchVer))
+	}
 }
 
 // BeginInferBatch resets the recurrent state of the first batch rows

@@ -102,8 +102,8 @@ func TestBatchCompositionIndependence(t *testing.T) {
 	check("reversed triple", [][][]float32{seqs[5], seqs[1], seqs[0]}, []int{5, 1, 0})
 }
 
-// TestScratch32RefreshAfterRetraining mirrors the float64 scratch test:
-// after TrainBatch, Refresh brings the float32 projection back in sync.
+// TestScratch32RefreshAfterRetraining: after TrainBatch, Refresh brings
+// the float32 projection back in sync with the training weights.
 func TestScratch32RefreshAfterRetraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	net, err := NewNetwork(4, []int{12}, 2, 9)
@@ -128,9 +128,9 @@ func TestScratch32RefreshAfterRetraining(t *testing.T) {
 	}
 }
 
-// TestStaleScratchPanics covers the weight-version counter for both
-// scratch flavours: predicting through a scratch that has not been
-// Refreshed since TrainBatch must panic, not silently use old weights.
+// TestStaleScratchPanics covers the weight-version counter: predicting
+// through a scratch that has not been Refreshed since TrainBatch must
+// panic, not silently use old weights.
 func TestStaleScratchPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	net, err := NewNetwork(4, []int{12}, 2, 9)
@@ -138,7 +138,6 @@ func TestStaleScratchPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq64, seq32 := randomSeq32(rng, 10, 4)
-	sc64 := net.NewInferScratch()
 	sc32 := net.NewInferScratch32(2)
 
 	opt := NewAdam(net.Params(), 1e-2)
@@ -155,18 +154,67 @@ func TestStaleScratchPanics(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("InferScratch", func() { net.PredictInto(seq64, sc64) })
 	expectPanic("InferScratch32", func() { net.PredictInto32(seq32, sc32) })
 
-	// Refresh clears the staleness on both.
-	sc64.Refresh(net)
+	// Refresh clears the staleness.
 	sc32.Refresh(net)
-	net.PredictInto(seq64, sc64)
 	net.PredictInto32(seq32, sc32)
 }
 
-// TestInferBatchZeroAllocs holds the batched path to the same zero
-// steady-state allocation standard as the float64 fast path.
+// TestLSTMInferResetsState: every prediction starts from zero recurrent
+// state. Repeating a sequence on the same scratch — solo, or batched
+// after a different batch has run through it — reproduces the first
+// output bit for bit instead of carrying hidden state forward.
+func TestLSTMInferResetsState(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	net, err := NewNetwork(4, []int{8, 6}, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := net.NewInferScratch32(2)
+	_, seq := randomSeq32(rng, 10, 4)
+	_, other := randomSeq32(rng, 10, 4)
+	first := append([]float32(nil), net.PredictInto32(seq, sc)...)
+	if second := net.PredictInto32(seq, sc); !equal32(first, second) {
+		t.Fatalf("repeated PredictInto32 diverged: %v vs %v", first, second)
+	}
+	net.PredictBatchInto([][][]float32{other, other}, sc)
+	if got := net.PredictBatchInto([][][]float32{other, seq}, sc)[1]; !equal32(first, got) {
+		t.Fatalf("batched repeat after another batch diverged: %v vs %v", first, got)
+	}
+}
+
+func equal32(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestInferZeroAllocs holds the single-sequence path to zero steady-
+// state allocations: the ML mitigation baseline calls it every control
+// cycle when it runs without a batching hub.
+func TestInferZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	net, err := NewNetwork(6, []int{32, 16}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := net.NewInferScratch32(1)
+	_, seq := randomSeq32(rng, 20, 6)
+	net.PredictInto32(seq, sc) // warm up
+	if n := testing.AllocsPerRun(100, func() { net.PredictInto32(seq, sc) }); n != 0 {
+		t.Fatalf("PredictInto32 allocates %v per run, want 0", n)
+	}
+}
+
+// TestInferBatchZeroAllocs holds the batched path to zero steady-state
+// allocations.
 func TestInferBatchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	net, err := NewNetwork(6, []int{32, 16}, 2, 4)
@@ -181,8 +229,5 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { net.PredictBatchInto(seqs, sc) }); n != 0 {
 		t.Fatalf("PredictBatchInto allocates %v per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(10, func() { net.PredictInto32(seqs[0], sc) }); n != 0 {
-		t.Fatalf("PredictInto32 allocates %v per run, want 0", n)
 	}
 }

@@ -23,7 +23,7 @@ type LSTM struct {
 	caches []lstmCache
 
 	// version counts in-place weight mutations (optimiser steps). The
-	// inference scratches capture it at Refresh and the fast paths panic
+	// inference scratch captures it at Refresh and the inference path panics
 	// on a mismatch, so a stale scratch fails loudly instead of silently
 	// predicting with pre-retrain weights.
 	version uint64

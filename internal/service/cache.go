@@ -3,11 +3,6 @@ package service
 import (
 	"container/list"
 	"encoding/json"
-	"errors"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,9 +21,9 @@ type DiskErrorStats struct {
 	// Read counts failed disk reads other than plain misses (an absent
 	// key is a miss, not an error).
 	Read int64 `json:"read"`
-	// Decode counts entries whose canonical JSON did not parse; each one
-	// is dropped from the index (legacy files are quarantined as
-	// <key>.corrupt) so it is counted once, not on every lookup.
+	// Decode counts CRC-clean records whose canonical JSON did not parse
+	// (a schema mismatch); each one is dropped from the index so it is
+	// counted once, not on every lookup.
 	Decode int64 `json:"decode"`
 }
 
@@ -56,18 +51,14 @@ type CacheStats struct {
 // to an on-disk segment store (see segstore.go) that survives restarts
 // and LRU eviction. Because keys are content hashes of everything that
 // determines a run, an entry is immutable: a key can only ever map to
-// one outcome.
-//
-// A dir holding the old one-JSON-file-per-entry store migrates in
-// place: legacy entries are read through once, folded into segments,
-// and their files removed — never rewritten as files.
+// one outcome. Files in dir other than the store's own segments and
+// sidecars are ignored.
 type ResultCache struct {
 	mu    sync.Mutex
 	max   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	dir   string
 	store *segStore // nil when the disk tier is off (dir == "")
 
 	// All counters live in the obs registry (see newCacheMetrics): the
@@ -113,7 +104,6 @@ func newResultCache(maxEntries int, dir string, maxBytes, segBytes int64, reg *o
 		max:   maxEntries,
 		ll:    list.New(),
 		items: make(map[string]*list.Element, maxEntries),
-		dir:   dir,
 		met:   newCacheMetrics(reg),
 	}
 	if dir != "" {
@@ -156,9 +146,7 @@ func (c *ResultCache) Get(key string) (metrics.Outcome, bool) {
 			// The bytes were CRC-clean, so this is a schema mismatch, not
 			// bit rot; count it once and drop the record.
 			c.met.errDecode.Inc()
-			if c.store != nil {
-				c.store.deleteKey(key)
-			}
+			c.store.deleteKey(key)
 			c.met.misses.Inc()
 			return metrics.Outcome{}, false
 		}
@@ -180,11 +168,11 @@ func (c *ResultCache) Get(key string) (metrics.Outcome, bool) {
 // callers must not mutate them. Lookup semantics match Get exactly —
 // memory, then disk, with LRU promotion, hit/miss accounting, and the
 // same decode validation on disk promotion: bytes Get would reject (a
-// CRC-clean record of an older schema, say a migrated legacy entry)
-// are rejected here too, never handed to a client verbatim. Encoded
-// additionally counts into the encoded-reads series, so the results-
-// serve path (clients polling a warm result) can be discounted from
-// the job-path hit rate it would otherwise skew.
+// CRC-clean record of an older schema) are rejected here too, never
+// handed to a client verbatim. Encoded additionally counts into the
+// encoded-reads series, so the results-serve path (clients polling a
+// warm result) can be discounted from the job-path hit rate it would
+// otherwise skew.
 func (c *ResultCache) Encoded(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -211,9 +199,7 @@ func (c *ResultCache) Encoded(key string) ([]byte, bool) {
 			// dropped — a verbatim serve of bytes the current schema no
 			// longer produces would push them all the way to a client.
 			c.met.errDecode.Inc()
-			if c.store != nil {
-				c.store.deleteKey(key)
-			}
+			c.store.deleteKey(key)
 			c.met.misses.Inc()
 			c.met.encodedMisses.Inc()
 			return nil, false
@@ -320,22 +306,14 @@ func (c *ResultCache) Stats() CacheStats {
 }
 
 // diskEligible is the single validity gate for disk-store keys: the
-// disk tier must be on and the key long enough to have sharded in the
-// legacy layout (two hex digits), which every real content-hash key is.
+// disk tier must be on and the key at least two characters long. Every
+// real content-hash key is 64 hex digits; shorter keys stay memory-only.
 func (c *ResultCache) diskEligible(key string) bool {
 	return c.store != nil && len(key) >= 2
 }
 
-// legacyPath is where the pre-segment disk store kept key: one JSON
-// file per entry under 256 two-hex-digit shard directories. Only the
-// migration read path still looks here.
-func (c *ResultCache) legacyPath(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
-}
-
-// readDisk loads an entry's canonical bytes from the disk tier: the
-// segment store first, then the legacy JSON store, whose entries fold
-// into segments as they are touched (read-through migration).
+// readDisk loads an entry's canonical bytes from the segment store,
+// timing the lookup into the disk-read histogram.
 func (c *ResultCache) readDisk(key string) ([]byte, bool) {
 	if !c.diskEligible(key) {
 		return nil, false
@@ -343,49 +321,7 @@ func (c *ResultCache) readDisk(key string) ([]byte, bool) {
 	start := time.Now()
 	b, ok := c.store.read(key)
 	c.met.diskRead.Observe(time.Since(start).Seconds())
-	if ok {
-		return b, true
-	}
-	return c.readLegacy(key)
-}
-
-// readLegacy loads an entry from the old one-file-per-entry JSON store,
-// validates it, folds it into the segment store, and retires the file.
-// Old stores migrate in place this way, one entry per first touch,
-// without a stop-the-world rewrite.
-func (c *ResultCache) readLegacy(key string) ([]byte, bool) {
-	path := c.legacyPath(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		// Absence is the normal miss; anything else is a real read
-		// failure worth counting.
-		if !errors.Is(err, fs.ErrNotExist) {
-			c.met.errRead.Inc()
-		}
-		return nil, false
-	}
-	var out metrics.Outcome
-	if err := json.Unmarshal(b, &out); err != nil {
-		c.met.errDecode.Inc()
-		c.quarantine(path)
-		return nil, false
-	}
-	c.store.append(key, b)
-	if c.store.has(key) {
-		// Only retire the file once the record verifiably landed in a
-		// segment; a failed append leaves the JSON entry for next time.
-		os.Remove(path)
-		c.met.migrations.Inc()
-	}
-	return b, true
-}
-
-// quarantine moves a corrupt legacy entry aside (<key>.corrupt) so the
-// bad bytes are preserved for inspection, the slot is free for a clean
-// rewrite, and the decode error is counted once instead of on every
-// lookup of that key.
-func (c *ResultCache) quarantine(path string) {
-	_ = os.Rename(path, strings.TrimSuffix(path, ".json")+".corrupt")
+	return b, ok
 }
 
 // writeDisk persists the already-encoded entry to the segment store;

@@ -3,12 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"adasim/internal/metrics"
@@ -112,58 +109,68 @@ func TestCacheEvictionKeepsDiskCopy(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryQuarantined pins the corrupt legacy-entry path:
-// a pre-segment JSON entry whose body does not parse is a miss (counted
-// under disk_errors.decode), is quarantined as <key>.corrupt so it is
-// counted once, and a clean rewrite of the same key works — into the
-// segment store, never back into a JSON file.
-func TestCacheCorruptEntryQuarantined(t *testing.T) {
+// TestCacheSegmentDecodeRejected pins the schema-mismatch path on disk
+// promotion: a CRC-clean segment record whose bytes are not an outcome
+// is a miss for Get and Encoded alike (counted once under
+// disk_errors.decode), its index entry is dropped so a retry is a plain
+// miss, and a clean rewrite of the same key lands and survives a reopen.
+func TestCacheSegmentDecodeRejected(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, key(1)[:2], key(1)+".json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	c, err := NewResultCache(8, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte(`{"steps": 7,`), 0o644); err != nil {
-		t.Fatal(err)
+	bad := []byte(`{"steps": 7,`)
+	c.store.append(key(1), bad)
+	c.store.append(key(2), bad)
+
+	if _, ok := c.Get(key(1)); ok {
+		t.Fatal("undecodable record served by Get")
 	}
+	st := c.Stats()
+	if st.DiskErrors.Decode != 1 {
+		t.Fatalf("disk_errors.decode = %d, want 1", st.DiskErrors.Decode)
+	}
+	if st.Disk.IndexEntries != 1 {
+		t.Fatalf("index entries = %d, want 1 (Get must drop the record)", st.Disk.IndexEntries)
+	}
+	if _, ok := c.Get(key(1)); ok {
+		t.Fatal("dropped record served by Get")
+	}
+	if st := c.Stats(); st.DiskErrors.Decode != 1 {
+		t.Fatalf("decode errors after Get retry = %d, want still 1", st.DiskErrors.Decode)
+	}
+
+	if enc, ok := c.Encoded(key(2)); ok {
+		t.Fatalf("undecodable record served verbatim by Encoded: %q", enc)
+	}
+	st = c.Stats()
+	if st.DiskErrors.Decode != 2 || st.EncodedMisses != 1 {
+		t.Fatalf("after Encoded: decode = %d, encoded misses = %d, want 2 and 1",
+			st.DiskErrors.Decode, st.EncodedMisses)
+	}
+	if st.Disk.IndexEntries != 0 {
+		t.Fatalf("index entries = %d, want 0 (Encoded must drop the record)", st.Disk.IndexEntries)
+	}
+	if _, ok := c.Encoded(key(2)); ok {
+		t.Fatal("dropped record served by Encoded")
+	}
+	if st := c.Stats(); st.DiskErrors.Decode != 2 || st.EncodedMisses != 2 {
+		t.Fatalf("after Encoded retry: decode = %d, encoded misses = %d, want 2 and 2",
+			st.DiskErrors.Decode, st.EncodedMisses)
+	}
+
+	// The key is free again: a clean Put lands in the segment store and
+	// a reopened cache serves it.
+	c.Put(key(1), metrics.Outcome{Steps: 2})
+	c.Close()
 	c2, err := NewResultCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, ok := c2.Get(key(1)); ok {
-		t.Fatal("corrupt entry served as a hit")
-	}
-	st := c2.Stats()
-	if st.DiskErrors.Decode != 1 {
-		t.Fatalf("disk_errors.decode = %d, want 1", st.DiskErrors.Decode)
-	}
-	corrupt := strings.TrimSuffix(path, ".json") + ".corrupt"
-	if _, err := os.Stat(corrupt); err != nil {
-		t.Fatalf("corrupt entry not quarantined at %s: %v", corrupt, err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("corrupt entry still occupies its slot: %v", err)
-	}
-	// A second lookup is a plain miss, not another decode error.
-	if _, ok := c2.Get(key(1)); ok {
-		t.Fatal("quarantined entry served as a hit")
-	}
-	if st := c2.Stats(); st.DiskErrors.Decode != 1 {
-		t.Fatalf("decode errors after quarantine = %d, want still 1", st.DiskErrors.Decode)
-	}
-	// The slot is reusable, and the rewrite lands in the segment store.
-	c2.Put(key(1), metrics.Outcome{Steps: 2})
-	if st := c2.Stats(); st.Disk == nil || st.Disk.IndexEntries != 1 {
-		t.Fatalf("rewrite did not land in the segment store: %+v", st.Disk)
-	}
-	c3, err := NewResultCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
-	if got, ok := c3.Get(key(1)); !ok || got.Steps != 2 {
-		t.Fatalf("rewritten entry = %+v %v, want Steps=2", got, ok)
+	if got, ok := c2.Get(key(1)); !ok || got.Steps != 2 {
+		t.Fatalf("rewritten entry after reopen = %+v %v, want Steps=2", got, ok)
 	}
 }
 
@@ -327,9 +334,8 @@ func TestCachePutResidentSkipsWrite(t *testing.T) {
 	}
 }
 
-// TestCacheShortKey pins the validated key helper: keys too short to
-// have sharded in the legacy layout never touch the disk store but
-// still work in memory.
+// TestCacheShortKey pins the validated key helper: keys shorter than
+// two characters never touch the disk store but still work in memory.
 func TestCacheShortKey(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewResultCache(8, dir)

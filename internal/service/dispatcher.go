@@ -409,13 +409,6 @@ func (d *Dispatcher) Cache() *ResultCache { return d.cache }
 // Workers returns the run pool's parallelism.
 func (d *Dispatcher) Workers() int { return d.cfg.Workers }
 
-// QueueDepth returns the number of tasks waiting in the queue.
-func (d *Dispatcher) QueueDepth() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.queue.depth()
-}
-
 // QueueStats snapshots the queue backlog per kind and priority class.
 // It reads the obs registry's backlog gauges — the same series /metrics
 // serves — so /healthz and a scrape can never disagree; the gauges move
@@ -634,20 +627,6 @@ func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 		return d.viewLocked(t), ErrTaskTerminal
 	}
 	return d.viewLocked(t), nil
-}
-
-// CountsFor returns the number of retained records per status for one
-// kind.
-func (d *Dispatcher) CountsFor(kind *TaskKind) map[Status]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	counts := make(map[Status]int, 5)
-	for _, t := range d.tasks {
-		if t.kind == kind {
-			counts[t.status]++
-		}
-	}
-	return counts
 }
 
 // TaskCounts returns per-kind, per-status record counts (keyed by the

@@ -306,7 +306,7 @@ func TestDrainFinishesQueuedExplorations(t *testing.T) {
 	if _, err := d.SubmitTask(ExplorationKind, ExplorationTask{Spec: spec}, ""); err != ErrDraining {
 		t.Errorf("post-drain submit err = %v, want ErrDraining", err)
 	}
-	if counts := d.CountsFor(ExplorationKind); counts[StatusDone] != 1 {
+	if counts := d.TaskCounts()[ExplorationKind.Plural]; counts[StatusDone] != 1 {
 		t.Errorf("done explorations after drain = %v", counts)
 	}
 }

@@ -225,7 +225,6 @@ type cacheMetrics struct {
 	compactions  *obs.Counter
 	gcSegments   *obs.Counter
 	gcBytes      *obs.Counter
-	migrations   *obs.Counter
 	corrupt      *obs.Counter
 }
 
@@ -259,7 +258,6 @@ func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
 		compactions:  reg.Counter("adasim_cache_compactions_total", "Dead-heavy cache segments rewritten and deleted by the compactor."),
 		gcSegments:   reg.Counter("adasim_cache_gc_segments_total", "Cold cache segments dropped to stay under the byte budget."),
 		gcBytes:      reg.Counter("adasim_cache_gc_bytes_total", "Bytes reclaimed by cache-segment GC."),
-		migrations:   reg.Counter("adasim_cache_migrations_total", "Legacy JSON cache entries folded into segments on first read."),
 		corrupt:      reg.Counter("adasim_cache_corrupt_records_total", "Cache-segment records dropped: torn tails truncated at boot and CRC mismatches on read."),
 	}
 }

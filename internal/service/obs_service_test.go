@@ -376,7 +376,7 @@ func TestTimelineWatchCancelRace(t *testing.T) {
 
 	// Every task is terminal (canceled or done) and its timeline ends on
 	// the matching terminal event.
-	counts := d.CountsFor(JobKind)
+	counts := d.TaskCounts()[JobKind.Plural]
 	if got := counts[StatusDone] + counts[StatusCanceled] + counts[StatusFailed]; got != tasks {
 		t.Fatalf("terminal tasks = %d (%v), want %d", got, counts, tasks)
 	}

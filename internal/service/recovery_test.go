@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -89,10 +87,9 @@ func TestKillAndRestartRecovery(t *testing.T) {
 		}
 	}
 
-	// Pre-seed j1's runs into cacheDir in the legacy one-JSON-file-
-	// per-entry layout: the crashing dispatcher must serve them through
-	// read-through migration, folding them into the segment store that
-	// the post-crash dispatcher then recovers from.
+	// Pre-seed j1's runs into cacheDir through the segment store: the
+	// crashing dispatcher must serve every one of them from disk, and
+	// the post-crash dispatcher then recovers from the same store.
 	plan, err := j1Spec.Normalized().Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -105,19 +102,14 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pr := range plan {
-		b, err := json.Marshal(seeded[i].Outcome)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shard := filepath.Join(cacheDir, pr.CacheKey[:2])
-		if err := os.MkdirAll(shard, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(shard, pr.CacheKey+".json"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	seedCache, err := NewResultCache(len(plan), cacheDir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i, pr := range plan {
+		seedCache.Put(pr.CacheKey, seeded[i].Outcome)
+	}
+	seedCache.Close()
 
 	// The crashing dispatcher: submit everything, let j1 finish (seeding
 	// the disk cache), then halt while j2 occupies the scheduler and
@@ -135,12 +127,9 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if final := finalViews(t, d1, j1.ID)[j1.ID]; final.Status != StatusDone {
 		t.Fatalf("j1 pre-crash: %+v", final)
 	}
-	// Every j1 run was served by migrating a legacy JSON entry.
+	// Every j1 run was served from the pre-seeded segment store.
 	if hits := finalViews(t, d1, j1.ID)[j1.ID].CacheHits; hits != len(plan) {
-		t.Fatalf("j1 cache hits = %d, want %d (legacy pre-seed should have served it)", hits, len(plan))
-	}
-	if st := d1.Cache().Stats(); st.Disk == nil || st.Disk.Migrations != int64(len(plan)) {
-		t.Fatalf("legacy migrations = %+v, want %d", st.Disk, len(plan))
+		t.Fatalf("j1 cache hits = %d, want %d (the pre-seed should have served it)", hits, len(plan))
 	}
 	j2 := submitOccupier(t, d1, 60)
 	j3, err := d1.SubmitTask(JobKind, j3Spec, "")

@@ -331,7 +331,7 @@ func TestReportRecordRetention(t *testing.T) {
 			t.Errorf("report %d (%s) retained = %v, want %v", i, id, ok, wantKept)
 		}
 	}
-	if counts := d.CountsFor(ReportKind); counts[StatusDone] != 2 {
+	if counts := d.TaskCounts()[ReportKind.Plural]; counts[StatusDone] != 2 {
 		t.Errorf("retained done reports = %d, want 2 (%v)", counts[StatusDone], counts)
 	}
 }

@@ -1,8 +1,6 @@
-// The binary segment store: the disk tier of the result cache. The old
-// tier was one JSON file per entry in 256 sharded directories — an
-// open/read/unmarshal syscall storm per disk hit and a per-key
-// filesystem walk at boot. This one is log-structured, the same shape
-// as the task journal but binary:
+// The binary segment store: the disk tier of the result cache. It is
+// log-structured, the same shape as the task journal but binary, so a
+// disk hit is one pread and boot is one sequential pass per segment:
 //
 //   - entries append to a small set of segment files (cache-%08d.seg)
 //     as length-prefixed records:
@@ -21,8 +19,7 @@
 //
 //   - payload integrity is a CRC-32C checked on read (not at boot, so
 //     index build stays a header walk): a failing record is dropped
-//     from the index and counted once, the segment-store analog of the
-//     JSON tier's <key>.corrupt quarantine;
+//     from the index and counted once, so retries are plain misses;
 //
 //   - records are immutable under their content-hash keys, so dead
 //     bytes only arise from dropped corrupt records and boot-scan
@@ -132,9 +129,6 @@ type SegmentStoreStats struct {
 	// dropped to stay under MaxBytes.
 	GCSegments int64 `json:"gc_segments"`
 	GCBytes    int64 `json:"gc_bytes"`
-	// Migrations counts legacy JSON entries folded into segments on
-	// first read.
-	Migrations int64 `json:"migrations"`
 	// CorruptRecords counts torn tails truncated at boot and records
 	// dropped on a CRC mismatch; each is counted once.
 	CorruptRecords int64 `json:"corrupt_records"`
@@ -468,8 +462,10 @@ func (s *segStore) loadSidecar(seg *cacheSegment, buildRefs bool) (dupes, ok boo
 		keyLen := int(binary.LittleEndian.Uint32(e))
 		plen := int64(binary.LittleEndian.Uint32(e[4:]))
 		roff := int64(binary.LittleEndian.Uint64(e[8:]))
+		// roff is bounded by seg.size before the sum, so a huge offset
+		// cannot overflow past the end check.
 		if keyLen < 1 || keyLen > maxCacheKeyLen ||
-			roff < int64(keyLen)+8 || roff+4+plen > seg.size {
+			roff < int64(keyLen)+8 || roff > seg.size || roff+4+plen > seg.size {
 			return false, false
 		}
 		keyBytes += keyLen
@@ -557,10 +553,10 @@ func (s *segStore) createSegment(seq int) (*cacheSegment, error) {
 }
 
 // read returns the payload stored under key, CRC-verified. A mismatch
-// drops the record from the index (counted once, the quarantine analog)
-// and reads as a miss. A closed store reads as a plain miss: requests
-// racing Drain/Close must not touch the released descriptors (and
-// inflate the disk-error counters on every shutdown doing so).
+// drops the record from the index (counted once) and reads as a miss.
+// A closed store reads as a plain miss: requests racing Drain/Close
+// must not touch the released descriptors (and inflate the disk-error
+// counters on every shutdown doing so).
 func (s *segStore) read(key string) ([]byte, bool) {
 	s.mu.RLock()
 	if s.closed {
@@ -587,19 +583,6 @@ func (s *segStore) read(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return buf[4:], true
-}
-
-// has reports whether key currently resolves on disk. A closed store
-// resolves nothing (matching read), so migration callers keep their
-// legacy files instead of trusting a store that can no longer serve.
-func (s *segStore) has(key string) bool {
-	s.mu.RLock()
-	ok := false
-	if !s.closed {
-		_, ok = s.index[key]
-	}
-	s.mu.RUnlock()
-	return ok
 }
 
 // drop removes key's index entry if it still points at ref, turning the
@@ -896,7 +879,6 @@ func (s *segStore) stats() SegmentStoreStats {
 		Compactions:    int64(s.met.compactions.Value()),
 		GCSegments:     int64(s.met.gcSegments.Value()),
 		GCBytes:        int64(s.met.gcBytes.Value()),
-		Migrations:     int64(s.met.migrations.Value()),
 		CorruptRecords: int64(s.met.corrupt.Value()),
 	}
 	for _, seg := range s.segs {

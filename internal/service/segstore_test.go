@@ -2,13 +2,10 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"adasim/internal/metrics"
 )
 
 // openTestStore builds a segment store with a private metrics registry
@@ -212,92 +209,6 @@ func TestSegStoreGC(t *testing.T) {
 	}
 }
 
-// TestCacheLegacyMigration pins the read-through migration: a dir in
-// the old one-JSON-file-per-entry layout serves byte-identically
-// through a new cache, each entry folds into the segment store on first
-// touch (file removed, counted), and a second boot serves everything
-// from segments alone.
-func TestCacheLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	want := make(map[string][]byte)
-	for i := 0; i < 3; i++ {
-		out := metrics.NewOutcome()
-		out.Steps = 100 + i
-		out.Duration = float64(i) + 0.5
-		b, err := json.Marshal(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := key(i)
-		want[k] = b
-		if err := os.MkdirAll(filepath.Join(dir, k[:2]), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, k[:2], k+".json"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	c, err := NewResultCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, b := range want {
-		enc, ok := c.Encoded(k)
-		if !ok || !bytes.Equal(enc, b) {
-			t.Fatalf("migrated Encoded(%s) = %q %v, want %q", k, enc, ok, b)
-		}
-		if _, err := os.Stat(filepath.Join(dir, k[:2], k+".json")); !os.IsNotExist(err) {
-			t.Fatalf("legacy file for %s not retired: %v", k, err)
-		}
-	}
-	st := c.Stats()
-	if st.Disk == nil || st.Disk.Migrations != 3 || st.Disk.IndexEntries != 3 {
-		t.Fatalf("migration stats = %+v, want 3 migrations, 3 index entries", st.Disk)
-	}
-	c.Close()
-
-	// Second boot: everything serves from segments, bytes unchanged,
-	// and the decoded form round-trips.
-	c2, err := NewResultCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	for k, b := range want {
-		enc, ok := c2.Encoded(k)
-		if !ok || !bytes.Equal(enc, b) {
-			t.Fatalf("segment Encoded(%s) = %q %v, want %q", k, enc, ok, b)
-		}
-	}
-	if got, ok := c2.Get(key(0)); !ok || got.Steps != 100 {
-		t.Fatalf("migrated Get = %+v %v, want Steps=100", got, ok)
-	}
-	if st := c2.Stats(); st.Disk.Migrations != 0 {
-		t.Fatalf("second boot migrated again: %+v", st.Disk)
-	}
-
-	// Byte-identity with a never-migrated store: a fresh dir populated
-	// through Put serves the same canonical bytes.
-	fresh, err := NewResultCache(8, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	for i := 0; i < 3; i++ {
-		out := metrics.NewOutcome()
-		out.Steps = 100 + i
-		out.Duration = float64(i) + 0.5
-		fresh.Put(key(i), out)
-	}
-	for k, b := range want {
-		enc, ok := fresh.Encoded(k)
-		if !ok || !bytes.Equal(enc, b) {
-			t.Fatalf("fresh-store Encoded(%s) = %q, want %q (JSON-migrated vs fresh digress)", k, enc, b)
-		}
-	}
-}
-
 // TestSegStoreClosedReadsMiss: shutdown closes the segment fds while
 // readers may still hold the store; a read after close must be a plain
 // miss — no closed-fd read error counted, no index mutation via the
@@ -312,9 +223,6 @@ func TestSegStoreClosedReadsMiss(t *testing.T) {
 	s.close()
 	if _, ok := s.read(key(1)); ok {
 		t.Fatal("closed store served a read")
-	}
-	if s.has(key(1)) {
-		t.Fatal("closed store claims to hold a key")
 	}
 	s.deleteKey(key(1)) // must be a no-op after close
 	if got := s.met.errRead.Value(); got != 0 {

@@ -294,7 +294,7 @@ func TestQueueFullAndDraining(t *testing.T) {
 		t.Errorf("post-drain submit err = %v, want ErrDraining", err)
 	}
 	// Drain must have finished the queued jobs, not dropped them.
-	counts := d.CountsFor(JobKind)
+	counts := d.TaskCounts()[JobKind.Plural]
 	if counts[StatusDone] != 2 {
 		t.Errorf("done jobs after drain = %d, want 2 (%v)", counts[StatusDone], counts)
 	}
@@ -359,7 +359,7 @@ func TestJobRecordRetention(t *testing.T) {
 			t.Errorf("job %d (%s) retained = %v, want %v", i, id, ok, wantKept)
 		}
 	}
-	counts := d.CountsFor(JobKind)
+	counts := d.TaskCounts()[JobKind.Plural]
 	if counts[StatusDone] != 2 {
 		t.Errorf("retained done jobs = %d, want 2 (%v)", counts[StatusDone], counts)
 	}

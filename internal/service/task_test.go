@@ -163,7 +163,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	if _, err := d.Cancel(v.ID); err != ErrTaskTerminal {
 		t.Errorf("re-cancel err = %v, want ErrTaskTerminal", err)
 	}
-	if depth := d.QueueDepth(); depth != 0 {
+	if depth := d.QueueStats().Depth; depth != 0 {
 		t.Errorf("queue depth after cancel = %d, want 0", depth)
 	}
 

@@ -10,10 +10,12 @@
 #      A/B measurement of the observability layer (sequential A/B runs
 #      of this workload drift with the host and cannot gate anything).
 #   3. BenchmarkDiskCacheStore losing the segment store's contracted
-#      margins over the legacy JSON disk tier at 1e5 entries: serving a
-#      disk hit must stay >= 5x faster and the boot-time index rebuild
-#      >= 10x faster. Both are paired interleaved measurements, so the
-#      ratios gate cleanly even on a drifting host.
+#      margins over a one-file-per-entry JSON baseline (a bench-only
+#      layout, not a cache tier) at 1e5 entries: serving a disk hit must
+#      stay >= 1.25x faster (both sides decode the outcome, so this is
+#      the I/O margin alone) and the boot-time index rebuild >= 10x
+#      faster. Both are paired interleaved measurements, so the ratios
+#      gate cleanly even on a drifting host.
 #
 # Short bench times keep this a smoke test (a few minutes): it catches
 # regressions of kind (an alloc appearing, overhead exploding, a cache
@@ -53,6 +55,6 @@ COLD=$(awk '/^BenchmarkDiskCacheStore\/cold_start/ { for (i = 1; i < NF; i++) if
 [ -n "$HIT" ] || { echo "FAIL: no hit-speedup-x in disk cache bench output"; exit 1; }
 [ -n "$COLD" ] || { echo "FAIL: no coldstart-speedup-x in disk cache bench output"; exit 1; }
 awk -v h="$HIT" -v c="$COLD" 'BEGIN {
-    if (h + 0 < 5) { printf "FAIL: segment store disk hit only %.2fx faster than JSON tier (want >= 5x)\n", h; exit 1 }
-    if (c + 0 < 10) { printf "FAIL: segment store cold start only %.2fx faster than JSON tier (want >= 10x)\n", c; exit 1 }
-    printf "ok: segment store vs JSON tier: disk hit %.2fx >= 5x, cold start %.2fx >= 10x\n", h, c }'
+    if (h + 0 < 1.25) { printf "FAIL: segment store disk hit only %.2fx faster than the JSON baseline (want >= 1.25x)\n", h; exit 1 }
+    if (c + 0 < 10) { printf "FAIL: segment store cold start only %.2fx faster than the JSON baseline (want >= 10x)\n", c; exit 1 }
+    printf "ok: segment store vs JSON baseline: disk hit %.2fx >= 1.25x, cold start %.2fx >= 10x\n", h, c }'

@@ -10,14 +10,6 @@
 #   6. its results must be byte-identical to the same spec run on an
 #      uninterrupted reference daemon
 #
-# Then the cache-migration leg: seed a cache directory in the legacy
-# one-JSON-file-per-entry layout (via the TestSeedLegacyCacheDir helper),
-# start a daemon on it, and submit the exact spec the seeded entries
-# satisfy. Every run must be a cache hit served by read-through
-# migration, the legacy files must be gone (folded into segment files),
-# `adasimctl cache` must report the migrations, and the results must be
-# byte-identical to the same spec executed cold.
-#
 # Exercises the full stack the Go tests cannot: a real process killed
 # by the OS, journal replay in main(), and the client talking to both
 # daemon generations.
@@ -123,71 +115,3 @@ echo "PASS: recovered job $ID is byte-identical to the uninterrupted run"
 kill -9 "$DAEMON_PID" 2>/dev/null || true
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
-
-echo "==> migration leg: seeding a legacy JSON cache directory"
-MIG_CACHE="$WORK/migcache"
-ADASIM_SEED_LEGACY_DIR="$MIG_CACHE" ADASIM_SEED_SPEC_OUT="$WORK/migspec.json" \
-    $GO test ./internal/service -run 'TestSeedLegacyCacheDir$' -count=1 >/dev/null
-SEEDED=$(find "$MIG_CACHE" -name '*.json' | wc -l | tr -d ' ')
-[ "$SEEDED" -gt 0 ] || { echo "FAIL: seeding helper wrote no legacy entries" >&2; exit 1; }
-echo "    $SEEDED legacy entries in $MIG_CACHE"
-
-MIG_PORT=$((PORT + 2))
-MIG_ADDR="http://127.0.0.1:$MIG_PORT"
-echo "==> starting daemon on the seeded legacy cache"
-"$WORK/adasimd" -addr "127.0.0.1:$MIG_PORT" -workers 1 \
-    -cache-dir "$MIG_CACHE" >"$WORK/mig.log" 2>&1 &
-DAEMON_PID=$!
-wait_health "$MIG_ADDR"
-
-echo "==> submitting the spec the seeded entries satisfy"
-"$WORK/adasimctl" -addr "$MIG_ADDR" submit -spec "$WORK/migspec.json" >"$WORK/mig_submit.json"
-MIG_ID=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$WORK/mig_submit.json" | head -1)
-[ -n "$MIG_ID" ] || { echo "FAIL: no task id in $(cat "$WORK/mig_submit.json")" >&2; exit 1; }
-"$WORK/adasimctl" -addr "$MIG_ADDR" task wait -id "$MIG_ID" >"$WORK/mig_final.json"
-grep -q '"status": *"done"' "$WORK/mig_final.json" || {
-    echo "FAIL: migration job did not finish done:" >&2
-    cat "$WORK/mig_final.json" >&2
-    exit 1
-}
-grep -q "\"cache_hits\": *$SEEDED" "$WORK/mig_final.json" || {
-    echo "FAIL: migration job was not fully served from the legacy seed:" >&2
-    cat "$WORK/mig_final.json" >&2
-    exit 1
-}
-"$WORK/adasimctl" -addr "$MIG_ADDR" task results -id "$MIG_ID" >"$WORK/mig_results.json"
-
-echo "==> checking the legacy files were folded into segments"
-LEFT=$(find "$MIG_CACHE" -name '*.json' | wc -l | tr -d ' ')
-[ "$LEFT" -eq 0 ] || { echo "FAIL: $LEFT legacy JSON files survived migration" >&2; exit 1; }
-ls "$MIG_CACHE"/cache-*.seg >/dev/null 2>&1 || {
-    echo "FAIL: no segment files in the migrated cache dir" >&2
-    exit 1
-}
-"$WORK/adasimctl" -addr "$MIG_ADDR" cache >"$WORK/mig_cache.txt"
-grep -q "$SEEDED legacy migrations" "$WORK/mig_cache.txt" || {
-    echo "FAIL: adasimctl cache does not report $SEEDED migrations:" >&2
-    cat "$WORK/mig_cache.txt" >&2
-    exit 1
-}
-kill -9 "$DAEMON_PID" 2>/dev/null || true
-wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
-
-echo "==> comparing migrated-served results against a cold run"
-COLD_PORT=$((PORT + 3))
-COLD_ADDR="http://127.0.0.1:$COLD_PORT"
-"$WORK/adasimd" -addr "127.0.0.1:$COLD_PORT" -workers 1 \
-    -cache-dir "$WORK/coldcache" >"$WORK/cold.log" 2>&1 &
-DAEMON_PID=$!
-wait_health "$COLD_ADDR"
-"$WORK/adasimctl" -addr "$COLD_ADDR" submit -spec "$WORK/migspec.json" >"$WORK/cold_submit.json"
-COLD_ID=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$WORK/cold_submit.json" | head -1)
-"$WORK/adasimctl" -addr "$COLD_ADDR" task wait -id "$COLD_ID" >/dev/null
-"$WORK/adasimctl" -addr "$COLD_ADDR" task results -id "$COLD_ID" >"$WORK/cold_results.json"
-if ! cmp -s "$WORK/mig_results.json" "$WORK/cold_results.json"; then
-    echo "FAIL: migrated-served results differ from the cold run" >&2
-    exit 1
-fi
-
-echo "PASS: legacy cache migrated in place, $SEEDED entries served byte-identical"
