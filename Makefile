@@ -37,7 +37,7 @@ fuzz-smoke:
 # (the total), and enforces the ratchet gate: the total must not drop
 # below the COVERAGE.md snapshot minus one point (COVER_FLOOR). Raise
 # the floor when COVERAGE.md's snapshot moves up.
-COVER_FLOOR ?= 75.3
+COVER_FLOOR ?= 83.0
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1

@@ -233,7 +233,7 @@ func BenchmarkFigure6(b *testing.B) {
 // interventions campaign (without the ML row; see BenchmarkTableVIML).
 func BenchmarkTableVI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableVI(benchCfg(), experiments.TableVIRows(nil))
+		res, err := experiments.TableVI(benchCfg(), experiments.TableVICampaigns(experiments.TableVIRows(nil)))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,144 +1,100 @@
 // Command adasim runs a single closed-loop simulation: one driving
 // scenario, an optional perception attack, and a chosen set of safety
-// interventions. It prints the run outcome and can dump the full trace as
-// CSV.
+// interventions. It prints the run outcome, can dump the full trace as
+// CSV, and can render the run as an ASCII bird's-eye strip chart.
 //
 // Examples:
 //
 //	adasim -scenario S1 -gap 60
 //	adasim -scenario S4 -fault rd -aeb independent -driver
 //	adasim -scenario S1 -fault curvature -driver -reaction 1.0 -trace run.csv
+//	adasim -scenario S1 -fault curv -driver -render 1
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
-	"adasim/internal/aebs"
+	"adasim/internal/cli"
 	"adasim/internal/core"
 	"adasim/internal/driver"
-	"adasim/internal/fi"
 	"adasim/internal/scenario"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "adasim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("adasim", run) }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("adasim", stderr)
+	scen := cli.BindScenario(fs)
+	attack := cli.BindAttack(fs)
 	var (
-		scen     = flag.String("scenario", "S1", "driving scenario (S1..S6)")
-		gap      = flag.Float64("gap", 60, "initial gap to the lead vehicle (m): 60 or 230")
-		fault    = flag.String("fault", "none", "fault type: none, rd, curvature, mixed")
-		useDrv   = flag.Bool("driver", false, "enable the driver reaction simulator")
-		reaction = flag.Float64("reaction", driver.DefaultReactionTime, "driver reaction time (s)")
-		check    = flag.Bool("check", false, "enable the firmware safety checker")
-		aebSrc   = flag.String("aeb", "off", "AEBS input source: off, compromised, independent")
-		friction = flag.Float64("friction", 1.0, "road friction scale (1.0 = dry)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		steps    = flag.Int("steps", core.DefaultSteps, "simulation steps (10 ms each)")
-		traceOut = flag.String("trace", "", "write the full per-step trace CSV to this file")
+		reaction = fs.Float64("reaction", driver.DefaultReactionTime, "driver reaction time (s)")
+		friction = fs.Float64("friction", 1.0, "road friction scale (1.0 = dry)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		steps    = fs.Int("steps", core.DefaultSteps, "simulation steps (10 ms each)")
+		traceOut = fs.String("trace", "", "write the full per-step trace CSV to this file")
+		render   = fs.Float64("render", 0, "render a strip chart, one row per this many seconds (0 = off)")
 	)
-	flag.Parse()
-
-	id, err := parseScenario(*scen)
-	if err != nil {
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	faultParams, err := parseFault(*fault)
-	if err != nil {
-		return err
+	if *render < 0 {
+		return fmt.Errorf("-render must be >= 0, got %v", *render)
 	}
-	iv := core.InterventionSet{SafetyCheck: *check}
-	if *useDrv {
+	iv := attack.Interventions
+	if iv.Driver {
 		dcfg := driver.DefaultConfig()
 		dcfg.ReactionTime = *reaction
-		iv.Driver = true
 		iv.DriverConfig = &dcfg
 	}
-	switch strings.ToLower(*aebSrc) {
-	case "off", "":
-	case "compromised":
-		iv.AEB = aebs.SourceCompromised
-	case "independent":
-		iv.AEB = aebs.SourceIndependent
-	default:
-		return fmt.Errorf("unknown -aeb value %q", *aebSrc)
-	}
-
 	res, err := core.Run(core.Options{
-		Scenario:      scenario.DefaultSpec(id, *gap),
-		Fault:         faultParams,
+		Scenario:      scenario.DefaultSpec(scen.ID, scen.Gap),
+		Fault:         attack.Fault,
 		Interventions: iv,
 		FrictionScale: *friction,
 		Seed:          *seed,
 		Steps:         *steps,
-		RecordTrace:   *traceOut != "",
+		RecordTrace:   *traceOut != "" || *render > 0,
 	})
 	if err != nil {
 		return err
 	}
-	printOutcome(res)
+	printOutcome(stdout, res)
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, res); err != nil {
 			return err
 		}
-		fmt.Printf("trace written to %s (%d samples)\n", *traceOut, res.Trace.Len())
+		fmt.Fprintf(stdout, "trace written to %s (%d samples)\n", *traceOut, res.Trace.Len())
+	}
+	if *render > 0 {
+		cli.RenderStrip(stdout, res, *render)
 	}
 	return nil
 }
 
-func parseScenario(s string) (scenario.ID, error) {
-	for _, id := range scenario.All() {
-		if strings.EqualFold(id.String(), s) {
-			return id, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scenario %q (want S1..S6)", s)
-}
-
-func parseFault(s string) (fi.Params, error) {
-	switch strings.ToLower(s) {
-	case "none", "":
-		return fi.Params{}, nil
-	case "rd", "relative-distance":
-		return fi.DefaultParams(fi.TargetRelDistance), nil
-	case "curvature", "desired-curvature":
-		return fi.DefaultParams(fi.TargetCurvature), nil
-	case "mixed":
-		return fi.DefaultParams(fi.TargetMixed), nil
-	default:
-		return fi.Params{}, fmt.Errorf("unknown fault %q (want none, rd, curvature, mixed)", s)
-	}
-}
-
-func printOutcome(res *core.Result) {
+func printOutcome(w io.Writer, res *core.Result) {
 	o := res.Outcome
-	fmt.Printf("accident:            %s", o.Accident)
+	fmt.Fprintf(w, "accident:            %s", o.Accident)
 	if o.AccidentAt >= 0 {
-		fmt.Printf(" at t=%.2fs", o.AccidentAt)
+		fmt.Fprintf(w, " at t=%.2fs", o.AccidentAt)
 	}
-	fmt.Println()
-	fmt.Printf("hazards:             H1=%v H2=%v\n", o.HazardH1, o.HazardH2)
-	fmt.Printf("fault first active:  %s\n", timeOrNever(o.FaultFirstAt))
-	fmt.Printf("FCW first fired:     %s\n", timeOrNever(o.FCWAt))
-	fmt.Printf("AEB first braked:    %s\n", timeOrNever(o.AEBBrakeAt))
-	fmt.Printf("driver first braked: %s\n", timeOrNever(o.DriverBrakeAt))
-	fmt.Printf("driver first steered:%s\n", timeOrNever(o.DriverSteerAt))
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "hazards:             H1=%v H2=%v\n", o.HazardH1, o.HazardH2)
+	fmt.Fprintf(w, "fault first active:  %s\n", timeOrNever(o.FaultFirstAt))
+	fmt.Fprintf(w, "FCW first fired:     %s\n", timeOrNever(o.FCWAt))
+	fmt.Fprintf(w, "AEB first braked:    %s\n", timeOrNever(o.AEBBrakeAt))
+	fmt.Fprintf(w, "driver first braked: %s\n", timeOrNever(o.DriverBrakeAt))
+	fmt.Fprintf(w, "driver first steered:%s\n", timeOrNever(o.DriverSteerAt))
 	if o.FollowingDistance >= 0 {
-		fmt.Printf("following distance:  %.2f m\n", o.FollowingDistance)
+		fmt.Fprintf(w, "following distance:  %.2f m\n", o.FollowingDistance)
 	}
-	fmt.Printf("hardest brake:       %.1f%%\n", o.HardestBrake*100)
-	fmt.Printf("min TTC:             %.2f s\n", o.MinTTC)
-	fmt.Printf("min lane-line dist:  %.2f m\n", o.MinLaneLineDist)
-	fmt.Printf("simulated:           %.1f s (%d steps)\n", o.Duration, o.Steps)
+	fmt.Fprintf(w, "hardest brake:       %.1f%%\n", o.HardestBrake*100)
+	fmt.Fprintf(w, "min TTC:             %.2f s\n", o.MinTTC)
+	fmt.Fprintf(w, "min lane-line dist:  %.2f m\n", o.MinLaneLineDist)
+	fmt.Fprintf(w, "simulated:           %.1f s (%d steps)\n", o.Duration, o.Steps)
 	if res.CheckerBlocked > 0 {
-		fmt.Printf("safety check blocked %d commands\n", res.CheckerBlocked)
+		fmt.Fprintf(w, "safety check blocked %d commands\n", res.CheckerBlocked)
 	}
 }
 
@@ -167,5 +123,5 @@ func writeTrace(path string, res *core.Result) error {
 			return err
 		}
 	}
-	return nil
+	return f.Close()
 }

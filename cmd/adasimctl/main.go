@@ -37,95 +37,96 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
+	"adasim/internal/cli"
 	"adasim/internal/client"
 	"adasim/internal/explore"
 	"adasim/internal/report"
-	"adasim/internal/scenario"
 	"adasim/internal/service"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "adasimctl:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("adasimctl", run) }
+
+// ctl is one invocation: the client and where its output goes.
+type ctl struct {
+	c      *client.Client
+	stdout io.Writer
+	stderr io.Writer
 }
 
-func run() error {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "adasimd base URL")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: adasimctl [-addr URL] <submit|explore|report|task|status|results|wait|scenarios|health|cache|workers> [flags]")
-		fmt.Fprintln(os.Stderr, "       adasimctl task <status|results|wait|cancel|watch> -id <task-id>")
-		flag.PrintDefaults()
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("adasimctl", stderr)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "adasimd base URL")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: adasimctl [-addr URL] <submit|explore|report|task|status|results|wait|scenarios|health|cache|workers> [flags]")
+		fmt.Fprintln(stderr, "       adasimctl task <status|results|wait|cancel|watch> -id <task-id>")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() < 1 {
-		flag.Usage()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() < 1 {
+		fs.Usage()
 		return fmt.Errorf("missing command")
 	}
-	c := client.New(*addr)
-	cmd, args := flag.Arg(0), flag.Args()[1:]
+	x := &ctl{c: client.New(*addr), stdout: stdout, stderr: stderr}
+	cmd, args := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "submit":
-		return cmdSubmit(c, args)
+		return x.cmdSubmit(args)
 	case "explore":
-		return cmdExplore(c, args)
+		return x.cmdExplore(args)
 	case "report":
-		return cmdReport(c, args)
+		return x.cmdReport(args)
 	case "task":
-		return cmdTask(c, args)
+		return x.cmdTask(args)
 	case "status", "explore-status", "report-status":
-		return cmdTask(c, append([]string{"status"}, args...))
+		return x.cmdTask(append([]string{"status"}, args...))
 	case "results", "explore-results", "report-results":
-		return cmdTask(c, append([]string{"results"}, args...))
+		return x.cmdTask(append([]string{"results"}, args...))
 	case "wait":
-		return cmdTask(c, append([]string{"wait"}, args...))
+		return x.cmdTask(append([]string{"wait"}, args...))
 	case "scenarios":
-		return getPrint(c, "/v1/scenarios")
+		return x.getPrint("/v1/scenarios")
 	case "health":
-		return getPrint(c, "/healthz")
+		return x.getPrint("/healthz")
 	case "cache":
-		return cmdCache(c)
+		return x.cmdCache()
 	case "workers":
-		return getPrint(c, "/v1/workers")
+		return x.getPrint("/v1/workers")
 	default:
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
-func cmdSubmit(c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+func (x *ctl) cmdSubmit(args []string) error {
+	fs := cli.NewFlagSet("submit", x.stderr)
 	var (
-		specPath  = fs.String("spec", "", "job spec JSON file ('-' = stdin); overrides the spec flags")
-		scenarios = fs.String("scenarios", "", "comma-separated scenario ids (default: all)")
-		gaps      = fs.String("gaps", "", "comma-separated initial gaps in metres (default: 60,230)")
-		reps      = fs.Int("reps", 1, "repetitions per configuration")
-		steps     = fs.Int("steps", 0, "steps per run (0 = paper default)")
-		seed      = fs.Int64("seed", 1, "base seed")
-		salt      = fs.Int64("salt", 0, "campaign salt")
-		fault     = fs.String("fault", "none", "fault target: none|rd|curv|mixed")
-		driver    = fs.Bool("driver", false, "enable the driver reaction model")
-		check     = fs.Bool("check", false, "enable the firmware safety checker")
-		aeb       = fs.String("aeb", "off", "AEBS source: off|comp|indep")
-		monitor   = fs.Bool("monitor", false, "enable the runtime anomaly monitor")
-		priority  = fs.String("priority", "", "scheduling class: interactive|bulk (default: kind default)")
-		wait      = fs.Bool("wait", false, "wait for completion and print the results")
+		specPath = fs.String("spec", "", "job spec JSON file ('-' = stdin); overrides the spec flags")
+		reps     = fs.Int("reps", 1, "repetitions per configuration")
+		steps    = fs.Int("steps", 0, "steps per run (0 = paper default)")
+		seed     = fs.Int64("seed", 1, "base seed")
+		salt     = fs.Int64("salt", 0, "campaign salt")
+		priority = fs.String("priority", "", "scheduling class: interactive|bulk (default: kind default)")
+		wait     = fs.Bool("wait", false, "wait for completion and print the results")
 	)
-	fs.Parse(args)
+	grid := cli.BindGrid(fs)
+	attack := cli.BindAttack(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	var spec service.JobSpec
+	spec := service.JobSpec{
+		Scenarios: grid.Scenarios, Gaps: grid.Gaps, Reps: *reps, Steps: *steps, BaseSeed: *seed,
+		Salt: *salt, Fault: attack.Fault, Interventions: attack.Interventions,
+	}
 	if *specPath != "" {
-		b, err := readFileOrStdin(*specPath)
+		b, err := cli.ReadFileOrStdin(*specPath)
 		if err != nil {
 			return err
 		}
@@ -134,62 +135,24 @@ func cmdSubmit(c *client.Client, args []string) error {
 		if spec, err = service.DecodeSpec(b); err != nil {
 			return fmt.Errorf("parsing %s: %w", *specPath, err)
 		}
-	} else {
-		var err error
-		if spec, err = specFromFlags(*scenarios, *gaps, *reps, *steps, *seed, *salt,
-			*fault, *driver, *check, *aeb, *monitor); err != nil {
-			return err
-		}
 	}
-
-	return submitAndMaybeWait(c, "jobs", spec, *priority, *wait)
+	return x.submitAndMaybeWait("jobs", spec, *priority, *wait)
 }
 
-func specFromFlags(scenarioArg, gapArg string, reps, steps int, seed, salt int64,
-	fault string, driver, check bool, aeb string, monitor bool) (service.JobSpec, error) {
-	spec := service.JobSpec{Reps: reps, Steps: steps, BaseSeed: seed, Salt: salt}
-	var err error
-
-	if scenarioArg != "" {
-		for _, part := range strings.Split(scenarioArg, ",") {
-			id, err := strconv.Atoi(strings.TrimPrefix(strings.TrimSpace(part), "S"))
-			if err != nil {
-				return spec, fmt.Errorf("bad scenario %q: %w", part, err)
-			}
-			spec.Scenarios = append(spec.Scenarios, scenario.ID(id))
-		}
-	}
-	if gapArg != "" {
-		for _, part := range strings.Split(gapArg, ",") {
-			gap, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return spec, fmt.Errorf("bad gap %q: %w", part, err)
-			}
-			spec.Gaps = append(spec.Gaps, gap)
-		}
-	}
-	if spec.Fault, err = explore.ParseFault(fault); err != nil {
-		return spec, err
-	}
-	if spec.Interventions, err = explore.ParseInterventions(driver, check, aeb, monitor); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-func cmdExplore(c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("explore", flag.ExitOnError)
+func (x *ctl) cmdExplore(args []string) error {
+	fs := cli.NewFlagSet("explore", x.stderr)
 	specPath := fs.String("spec", "", "exploration spec JSON file ('-' = stdin); overrides the spec flags")
 	priority := fs.String("priority", "", "scheduling class: interactive|bulk (default: kind default)")
 	wait := fs.Bool("wait", false, "wait for completion and print the report")
-	var sf explore.SpecFlags
-	sf.Register(fs)
-	fs.Parse(args)
+	sf := cli.BindExplore(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var spec explore.Spec
 	var err error
 	if *specPath != "" {
-		b, err := readFileOrStdin(*specPath)
+		b, err := cli.ReadFileOrStdin(*specPath)
 		if err != nil {
 			return err
 		}
@@ -200,11 +163,11 @@ func cmdExplore(c *client.Client, args []string) error {
 		return err
 	}
 
-	return submitAndMaybeWait(c, "explorations", spec, *priority, *wait)
+	return x.submitAndMaybeWait("explorations", spec, *priority, *wait)
 }
 
-func cmdReport(c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+func (x *ctl) cmdReport(args []string) error {
+	fs := cli.NewFlagSet("report", x.stderr)
 	var (
 		specPath  = fs.String("spec", "", "report spec JSON file ('-' = stdin); overrides the spec flags")
 		artifacts = fs.String("artifacts", "", "comma-separated artifacts (default: all; see report.Artifacts)")
@@ -214,11 +177,13 @@ func cmdReport(c *client.Client, args []string) error {
 		priority  = fs.String("priority", "", "scheduling class: interactive|bulk (default: kind default)")
 		wait      = fs.Bool("wait", false, "wait for completion and print the artifacts")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var spec report.Spec
 	if *specPath != "" {
-		b, err := readFileOrStdin(*specPath)
+		b, err := cli.ReadFileOrStdin(*specPath)
 		if err != nil {
 			return err
 		}
@@ -234,75 +199,75 @@ func cmdReport(c *client.Client, args []string) error {
 		}
 	}
 
-	return submitAndMaybeWait(c, "reports", spec, *priority, *wait)
+	return x.submitAndMaybeWait("reports", spec, *priority, *wait)
 }
 
 // submitAndMaybeWait is the one submission flow every kind shares:
 // submit through the task API (with an optional priority-class
 // override), then either print the accepted view or wait for a terminal
 // state and print the byte-exact results.
-func submitAndMaybeWait(c *client.Client, kind string, spec any, priority string, wait bool) error {
-	view, err := c.SubmitTask(kind, spec, service.PriorityClass(priority))
+func (x *ctl) submitAndMaybeWait(kind string, spec any, priority string, wait bool) error {
+	view, err := x.c.SubmitTask(kind, spec, service.PriorityClass(priority))
 	if err != nil {
 		return err
 	}
 	if !wait {
-		return printJSON(view)
+		return cli.PrintJSON(x.stdout, view)
 	}
-	final, err := c.WaitTask(view.ID)
+	final, err := x.c.WaitTask(view.ID)
 	if err != nil {
 		return err
 	}
 	if final.Status != service.StatusDone {
 		return fmt.Errorf("%s %s %s: %s", final.Kind, final.ID, final.Status, final.Error)
 	}
-	return getPrint(c, "/v1/tasks/"+final.ID+"/results")
+	return x.getPrint("/v1/tasks/" + final.ID + "/results")
 }
 
 // cmdTask is the verb surface of the task API: the same
 // status/results/wait/cancel/watch flow for every kind, addressed by
 // task ID.
-func cmdTask(c *client.Client, args []string) error {
+func (x *ctl) cmdTask(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: adasimctl task <status|results|wait|cancel|watch> -id <task-id>")
 	}
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "status":
-		return cmdTaskGet(c, rest, "")
+		return x.cmdTaskGet(rest, "")
 	case "results":
-		return cmdTaskGet(c, rest, "/results")
+		return x.cmdTaskGet(rest, "/results")
 	case "wait":
-		id, err := parseID(rest)
+		id, err := x.parseID(rest)
 		if err != nil {
 			return err
 		}
-		view, err := c.WaitTask(id)
+		view, err := x.c.WaitTask(id)
 		if err != nil {
 			return err
 		}
-		return printJSON(view)
+		return cli.PrintJSON(x.stdout, view)
 	case "cancel":
-		id, err := parseID(rest)
+		id, err := x.parseID(rest)
 		if err != nil {
 			return err
 		}
-		view, err := c.CancelTask(id)
+		view, err := x.c.CancelTask(id)
 		if err != nil {
 			return err
 		}
-		return printJSON(view)
+		return cli.PrintJSON(x.stdout, view)
 	case "watch":
-		id, err := parseID(rest)
+		id, err := x.parseID(rest)
 		if err != nil {
 			return err
 		}
-		return c.WatchTask(id, func(ev service.TimelineEvent) {
+		return x.c.WatchTask(id, func(ev service.TimelineEvent) {
 			if ev.Detail != "" {
-				fmt.Printf("%s  %-16s %s\n", ev.TS.Format(time.RFC3339), ev.Event, ev.Detail)
+				fmt.Fprintf(x.stdout, "%s  %-16s %s\n", ev.TS.Format(time.RFC3339), ev.Event, ev.Detail)
 				return
 			}
-			fmt.Printf("%s  %s\n", ev.TS.Format(time.RFC3339), ev.Event)
+			fmt.Fprintf(x.stdout, "%s  %s\n", ev.TS.Format(time.RFC3339), ev.Event)
 		})
 	default:
 		return fmt.Errorf("unknown task verb %q (want status|results|wait|cancel|watch)", sub)
@@ -310,10 +275,12 @@ func cmdTask(c *client.Client, args []string) error {
 }
 
 // parseID extracts the -id flag.
-func parseID(args []string) (string, error) {
-	fs := flag.NewFlagSet("task", flag.ExitOnError)
+func (x *ctl) parseID(args []string) (string, error) {
+	fs := cli.NewFlagSet("task", x.stderr)
 	id := fs.String("id", "", "task id")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return "", err
+	}
 	if *id == "" {
 		return "", fmt.Errorf("-id is required")
 	}
@@ -321,71 +288,55 @@ func parseID(args []string) (string, error) {
 }
 
 // cmdTaskGet prints /v1/tasks/<id><suffix> for the -id flag.
-func cmdTaskGet(c *client.Client, args []string, suffix string) error {
-	id, err := parseID(args)
+func (x *ctl) cmdTaskGet(args []string, suffix string) error {
+	id, err := x.parseID(args)
 	if err != nil {
 		return err
 	}
-	return getPrint(c, "/v1/tasks/"+id+suffix)
+	return x.getPrint("/v1/tasks/" + id + suffix)
 }
 
 // cmdCache renders the result-cache slice of /healthz: the in-memory
 // LRU counters, and — when the disk tier is on — the segment store's
 // segment/index/byte accounting and its compaction and GC history.
-func cmdCache(c *client.Client) error {
+func (x *ctl) cmdCache() error {
 	var health service.HealthResponse
-	if err := c.GetJSON("/healthz", &health); err != nil {
+	if err := x.c.GetJSON("/healthz", &health); err != nil {
 		return err
 	}
 	st := health.Cache
-	fmt.Printf("memory tier: %d/%d entries, %d hits (%d from disk), %d misses, %d evictions\n",
+	fmt.Fprintf(x.stdout, "memory tier: %d/%d entries, %d hits (%d from disk), %d misses, %d evictions\n",
 		st.Entries, st.MaxSize, st.Hits, st.DiskHits, st.Misses, st.Evictions)
 	if st.EncodedHits+st.EncodedMisses > 0 {
-		fmt.Printf("results path: %d encoded reads (%d hits, %d misses) counted above\n",
+		fmt.Fprintf(x.stdout, "results path: %d encoded reads (%d hits, %d misses) counted above\n",
 			st.EncodedHits+st.EncodedMisses, st.EncodedHits, st.EncodedMisses)
 	}
 	if st.Disk == nil {
-		fmt.Println("disk tier: off")
+		fmt.Fprintln(x.stdout, "disk tier: off")
 		return nil
 	}
 	d := st.Disk
-	fmt.Printf("segment store: %d segments, %d indexed keys, %d live bytes, %d dead bytes",
+	fmt.Fprintf(x.stdout, "segment store: %d segments, %d indexed keys, %d live bytes, %d dead bytes",
 		d.Segments, d.IndexEntries, d.LiveBytes, d.DeadBytes)
 	if d.MaxBytes > 0 {
-		fmt.Printf(" (budget %d)", d.MaxBytes)
+		fmt.Fprintf(x.stdout, " (budget %d)", d.MaxBytes)
 	}
-	fmt.Println()
-	fmt.Printf("maintenance: %d compactions, %d segments gc'd (%d bytes), %d corrupt records\n",
+	fmt.Fprintln(x.stdout)
+	fmt.Fprintf(x.stdout, "maintenance: %d compactions, %d segments gc'd (%d bytes), %d corrupt records\n",
 		d.Compactions, d.GCSegments, d.GCBytes, d.CorruptRecords)
 	if e := st.DiskErrors; e.Read+e.Write+e.Decode > 0 {
-		fmt.Printf("disk errors: %d read, %d write, %d decode\n", e.Read, e.Write, e.Decode)
+		fmt.Fprintf(x.stdout, "disk errors: %d read, %d write, %d decode\n", e.Read, e.Write, e.Decode)
 	}
 	return nil
 }
 
 // getPrint fetches path and prints the raw response body, preserving the
 // server's byte-exact encoding.
-func getPrint(c *client.Client, path string) error {
-	b, err := c.GetRaw(path)
+func (x *ctl) getPrint(path string) error {
+	b, err := x.c.GetRaw(path)
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(b)
+	_, err = x.stdout.Write(b)
 	return err
-}
-
-func printJSON(v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(b))
-	return nil
-}
-
-func readFileOrStdin(path string) ([]byte, error) {
-	if path == "-" {
-		return io.ReadAll(os.Stdin)
-	}
-	return os.ReadFile(path)
 }

@@ -1,7 +1,7 @@
 // Command mltrain collects fault-free driving data from the simulation
 // platform and trains the paper's ML-based hazard-mitigation baseline (a
-// stacked LSTM, Section IV-D), then saves the weights for use by
-// cmd/tables and cmd/campaign.
+// stacked LSTM, Section IV-D), then saves the weights for
+// `tables -ml -mlweights`.
 //
 // Example:
 //
@@ -9,33 +9,32 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"adasim/internal/cli"
 	"adasim/internal/experiments"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "mltrain:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("mltrain", run) }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("mltrain", stderr)
 	var (
-		hidden = flag.String("hidden", "64,32", "comma-separated LSTM hidden sizes (paper: 128,64)")
-		epochs = flag.Int("epochs", 4, "training epochs")
-		stride = flag.Int("stride", 10, "training window stride")
-		steps  = flag.Int("steps", 4000, "steps per data-collection run")
-		seed   = flag.Int64("seed", 7, "training seed")
-		out    = flag.String("out", "mlbaseline.gob", "output weights file")
+		hidden = fs.String("hidden", "64,32", "comma-separated LSTM hidden sizes (paper: 128,64)")
+		epochs = fs.Int("epochs", 4, "training epochs")
+		stride = fs.Int("stride", 10, "training window stride")
+		steps  = fs.Int("steps", 4000, "steps per data-collection run")
+		seed   = fs.Int64("seed", 7, "training seed")
+		out    = fs.String("out", "mlbaseline.gob", "output weights file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sizes, err := parseSizes(*hidden)
 	if err != nil {
@@ -48,13 +47,13 @@ func run() error {
 	cfg.Steps = *steps
 	cfg.Seed = *seed
 
-	fmt.Printf("collecting fault-free data and training LSTM %v...\n", sizes)
+	fmt.Fprintf(stdout, "collecting fault-free data and training LSTM %v...\n", sizes)
 	start := time.Now()
 	net, loss, err := experiments.TrainBaseline(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trained in %v, final mean loss %.6f\n", time.Since(start).Round(time.Millisecond), loss)
+	fmt.Fprintf(stdout, "trained in %v, final mean loss %.6f\n", time.Since(start).Round(time.Millisecond), loss)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -64,7 +63,7 @@ func run() error {
 	if err := net.Save(f); err != nil {
 		return err
 	}
-	fmt.Printf("weights saved to %s\n", *out)
+	fmt.Fprintf(stdout, "weights saved to %s\n", *out)
 	return nil
 }
 

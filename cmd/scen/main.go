@@ -14,46 +14,41 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
+	"adasim/internal/cli"
 	"adasim/internal/experiments"
 	"adasim/internal/explore"
 	"adasim/internal/scengen"
 	"adasim/internal/service"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "scen:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("scen", run) }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("scen", stderr)
 	var (
-		listFams = flag.Bool("families", false, "print the family catalogue and exit")
-		specPath = flag.String("spec", "", "exploration spec JSON file ('-' = stdin); overrides the spec flags")
-		par      = flag.Int("par", 0, "worker parallelism (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "optional on-disk result cache (shared with adasimd)")
-		out      = flag.String("out", "", "write the report JSON here instead of stdout")
+		listFams = fs.Bool("families", false, "print the family catalogue and exit")
+		specPath = fs.String("spec", "", "exploration spec JSON file ('-' = stdin); overrides the spec flags")
+		par      = fs.Int("par", 0, "worker parallelism (0 = GOMAXPROCS)")
+		cacheDir = fs.String("cache-dir", "", "optional on-disk result cache (shared with adasimd)")
+		out      = fs.String("out", "", "write the report JSON here instead of stdout")
 	)
-	var sf explore.SpecFlags
-	sf.Register(flag.CommandLine)
-	flag.Parse()
-
+	sf := cli.BindExplore(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *listFams {
-		return printJSON(os.Stdout, scengen.Families())
+		return cli.PrintJSON(stdout, scengen.Families())
 	}
 
 	var spec explore.Spec
 	var err error
 	if *specPath != "" {
-		b, err := readFileOrStdin(*specPath)
+		b, err := cli.ReadFileOrStdin(*specPath)
 		if err != nil {
 			return err
 		}
@@ -79,7 +74,7 @@ func run() error {
 		defer progressMu.Unlock()
 		if completed > done {
 			done = completed
-			fmt.Fprintf(os.Stderr, "scen: %d probes done (%d cached)\n", completed, cacheHits)
+			fmt.Fprintf(stderr, "scen: %d probes done (%d cached)\n", completed, cacheHits)
 		}
 	}
 	rep, stats, err := eng.Run(spec)
@@ -87,7 +82,7 @@ func run() error {
 		return err
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -96,15 +91,15 @@ func run() error {
 		defer f.Close()
 		w = f
 	}
-	if err := printJSON(w, rep); err != nil {
+	if err := cli.PrintJSON(w, rep); err != nil {
 		return err
 	}
-	summarize(os.Stderr, rep, stats)
+	summarize(stderr, rep, stats)
 	return nil
 }
 
 // summarize prints the human-readable exploration outcome to w.
-func summarize(w *os.File, rep *explore.Report, stats explore.Stats) {
+func summarize(w io.Writer, rep *explore.Report, stats explore.Stats) {
 	accidents := 0
 	for _, p := range rep.Probes {
 		if p.Accident() {
@@ -122,20 +117,4 @@ func summarize(w *os.File, rep *explore.Report, stats explore.Stats) {
 				b.Axis, b.Lo, b.Hi, b.AccidentAtMin)
 		}
 	}
-}
-
-func printJSON(w *os.File, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, string(b))
-	return err
-}
-
-func readFileOrStdin(path string) ([]byte, error) {
-	if path == "-" {
-		return io.ReadAll(os.Stdin)
-	}
-	return os.ReadFile(path)
 }

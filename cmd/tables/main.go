@@ -7,34 +7,35 @@
 // regenerating the paper after a campaign over the same grid is almost
 // entirely cache reads.
 //
+// With -only 6, -rows picks Table VI rows and -breakdown adds each
+// cell's per-scenario rows; that view goes to stdout only. Each row
+// keeps its table-wide salt, so its cells equal the full table's.
+//
 // Examples:
 //
 //	tables                       # everything at paper scale (10 reps)
 //	tables -reps 3 -only 6       # quick Table VI
+//	tables -reps 3 -only 6 -rows driver,aeb-indep -breakdown
 //	tables -ml -mlweights w.gob  # include the ML baseline row
 //	tables -cache-dir /var/cache/adasim   # share the service's store
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"adasim/internal/cli"
 	"adasim/internal/experiments"
 	"adasim/internal/nn"
 	"adasim/internal/report"
 	"adasim/internal/service"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("tables", run) }
 
 // onlyToArtifacts maps the legacy -only vocabulary (4,5,...,fig5,ext) to
 // canonical artifact names; empty selects everything.
@@ -57,20 +58,21 @@ func onlyToArtifacts(only string) ([]string, error) {
 	return arts, nil
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("tables", stderr)
 	var (
-		reps      = flag.Int("reps", 10, "repetitions per configuration (paper: 10)")
-		steps     = flag.Int("steps", 0, "steps per run (0 = paper default)")
-		seed      = flag.Int64("seed", 1, "campaign base seed")
-		outDir    = flag.String("out", "results", "output directory")
-		only      = flag.String("only", "", "comma-separated subset: 4,5,6,7,8,fig5,fig6,ext,weather")
-		withML    = flag.Bool("ml", false, "include the ML baseline row in Table VI")
-		mlWeights = flag.String("mlweights", "", "trained weights from cmd/mltrain; trains a fresh model when empty")
-		cacheDir  = flag.String("cache-dir", "", "optional on-disk result cache (shared with adasimd)")
+		reps      = fs.Int("reps", 10, "repetitions per configuration (paper: 10)")
+		steps     = fs.Int("steps", 0, "steps per run (0 = paper default)")
+		seed      = fs.Int64("seed", 1, "campaign base seed")
+		outDir    = fs.String("out", "results", "output directory")
+		only      = fs.String("only", "", "comma-separated subset: 4,5,6,7,8,fig5,fig6,ext,weather")
+		withML    = fs.Bool("ml", false, "include the ML baseline row in Table VI")
+		mlWeights = fs.String("mlweights", "", "trained weights from cmd/mltrain; trains a fresh model when empty")
+		cacheDir  = fs.String("cache-dir", "", "optional on-disk result cache (shared with adasimd)")
+		rowsArg   = fs.String("rows", "", "with -only 6: comma-separated Table VI row labels (default: all)")
+		breakdown = fs.Bool("breakdown", false, "with -only 6: add each cell's per-scenario rows")
 	)
-	flag.Parse()
-
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	artifacts, err := onlyToArtifacts(*only)
@@ -78,6 +80,31 @@ func run() error {
 		return err
 	}
 	spec := report.Spec{Artifacts: artifacts, Reps: *reps, Steps: *steps, BaseSeed: *seed}
+	if *mlWeights != "" && !*withML {
+		return fmt.Errorf("-mlweights given without -ml; add -ml to include the ML baseline row")
+	}
+
+	// A row subset is minutes of compute at paper scale, so an unknown
+	// label fails here, before any run (training included).
+	subset := *rowsArg != "" || *breakdown
+	var rows []string
+	for _, r := range strings.Split(*rowsArg, ",") {
+		if r = strings.TrimSpace(r); r != "" {
+			rows = append(rows, r)
+		}
+	}
+	if subset {
+		if *only != "6" {
+			return fmt.Errorf("-rows and -breakdown need -only 6")
+		}
+		known := experiments.TableVIRows(nil)
+		if *withML {
+			known = append(known, experiments.MLRow(nil))
+		}
+		if _, err := experiments.SelectCampaigns(experiments.TableVICampaigns(known), rows); err != nil {
+			return err
+		}
+	}
 
 	// The offline path uses the same content-addressed cache type as the
 	// daemon, so a shared -cache-dir lets tables, sweeps, and the service
@@ -88,32 +115,54 @@ func run() error {
 	}
 	eng := report.New(experiments.NewPool(0), cache)
 	if *withML && wantsTable6(spec) {
-		if eng.MLNet, err = loadOrTrain(*mlWeights); err != nil {
+		if eng.MLNet, err = loadOrTrain(stdout, *mlWeights); err != nil {
 			return err
 		}
 	}
 
 	start := time.Now()
-	res, stats, err := eng.Run(spec)
-	if err != nil {
-		return err
-	}
-	for _, a := range res.Artifacts {
-		// Tables and studies echo to stdout, as they always have; figure
-		// CSVs only land on disk.
-		if strings.HasSuffix(a.File, ".txt") {
-			fmt.Print(a.Content)
+	var stats report.Stats
+	if subset {
+		cs := experiments.TableVICampaigns(experiments.TableVIRows(eng.MLNet))
+		if len(rows) > 0 {
+			if cs, err = experiments.SelectCampaigns(cs, rows); err != nil {
+				return err
+			}
 		}
-		path := filepath.Join(*outDir, a.File)
-		if err := os.WriteFile(path, []byte(a.Content), 0o644); err != nil {
+		var t *experiments.TableVIResult
+		if t, stats, err = eng.TableVI(spec, cs); err != nil {
 			return err
 		}
-		fmt.Println("wrote", path)
+		if *breakdown {
+			fmt.Fprint(stdout, t.RenderBreakdown())
+		} else {
+			fmt.Fprint(stdout, t.Render())
+		}
+	} else {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
+		var res *report.Result
+		if res, stats, err = eng.Run(spec); err != nil {
+			return err
+		}
+		for _, a := range res.Artifacts {
+			// Tables and studies echo to stdout, as they always have;
+			// figure CSVs only land on disk.
+			if strings.HasSuffix(a.File, ".txt") {
+				fmt.Fprint(stdout, a.Content)
+			}
+			path := filepath.Join(*outDir, a.File)
+			if err := os.WriteFile(path, []byte(a.Content), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, "wrote", path)
+		}
 	}
 	if stats.CacheHits > 0 {
-		fmt.Printf("cache served %d of %d runs\n", stats.CacheHits, stats.Runs)
+		fmt.Fprintf(stdout, "cache served %d of %d runs\n", stats.CacheHits, stats.Runs)
 	}
-	fmt.Println("total elapsed:", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(stdout, "total elapsed:", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -128,7 +177,7 @@ func wantsTable6(spec report.Spec) bool {
 	return false
 }
 
-func loadOrTrain(path string) (*nn.Network, error) {
+func loadOrTrain(stdout io.Writer, path string) (*nn.Network, error) {
 	if path != "" {
 		f, err := os.Open(path)
 		if err != nil {
@@ -137,11 +186,11 @@ func loadOrTrain(path string) (*nn.Network, error) {
 		defer f.Close()
 		return nn.LoadNetwork(f)
 	}
-	fmt.Println("training the ML baseline (pass -mlweights to reuse saved weights)...")
+	fmt.Fprintln(stdout, "training the ML baseline (pass -mlweights to reuse saved weights)...")
 	net, loss, err := experiments.TrainBaseline(experiments.DefaultTrainingConfig())
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("trained, final loss %.6f\n", loss)
+	fmt.Fprintf(stdout, "trained, final loss %.6f\n", loss)
 	return net, nil
 }

@@ -130,7 +130,7 @@ func TestTableVISmall(t *testing.T) {
 	rows := []InterventionRow{
 		{Label: "none", Set: core.InterventionSet{}},
 	}
-	res, err := TableVI(cfg, rows)
+	res, err := TableVI(cfg, TableVICampaigns(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +142,63 @@ func TestTableVISmall(t *testing.T) {
 		if math.Abs(total-1) > 1e-9 {
 			t.Errorf("%v/%s: rates sum to %v", c.Fault, c.Intervention, total)
 		}
+		// The per-scenario breakdown partitions the cell's runs.
+		if len(c.Scenarios) != len(scenario.All()) {
+			t.Fatalf("%v: %d scenario aggregates", c.Fault, len(c.Scenarios))
+		}
+		runs, prevented := 0, 0.0
+		for _, s := range c.Scenarios {
+			runs += s.Agg.Runs
+			prevented += s.Agg.Prevented * float64(s.Agg.Runs)
+		}
+		if runs != c.Agg.Runs || math.Abs(prevented-c.Agg.Prevented*float64(runs)) > 1e-9 {
+			t.Errorf("%v: breakdown sums to %d runs, %v prevented; cell has %d, %v",
+				c.Fault, runs, prevented, c.Agg.Runs, c.Agg.Prevented*float64(runs))
+		}
 	}
 	text := res.Render()
 	if !strings.Contains(text, "TABLE VI") || !strings.Contains(text, "relative-distance") {
 		t.Error("render missing content")
+	}
+	// The breakdown adds one line per scenario under each cell and
+	// leaves every table line as Render prints it.
+	var kept []string
+	for _, line := range strings.Split(res.RenderBreakdown(), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "S") {
+			kept = append(kept, line)
+		}
+	}
+	if got := strings.Join(kept, "\n"); got != text {
+		t.Errorf("breakdown changed the table lines:\n%s\nwant:\n%s", got, text)
+	}
+}
+
+func TestSelectCampaignsKeepsTableSalts(t *testing.T) {
+	all := TableVICampaigns(TableVIRows(nil))
+	sub, err := SelectCampaigns(all, []string{"aeb-indep", "driver"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sub) != 6 {
+		t.Fatalf("subset has %d campaigns, want 2 rows x 3 faults", len(sub))
+	}
+	for _, c := range sub {
+		found := false
+		for _, a := range all {
+			if a.Label == c.Label && a.Fault.Target == c.Fault.Target {
+				found = a.Salt == c.Salt
+			}
+		}
+		if !found {
+			t.Errorf("%s/%v: salt %d differs from the full table's", c.Label, c.Fault.Target, c.Salt)
+		}
+	}
+	if sub[0].Label != "aeb-indep" || sub[1].Label != "driver" {
+		t.Errorf("subset not in table order: %s, %s", sub[0].Label, sub[1].Label)
+	}
+	_, err = SelectCampaigns(all, []string{"driver", "aeb-indpe"})
+	if err == nil || !strings.Contains(err.Error(), "aeb-indpe") || !strings.Contains(err.Error(), "driver+check+aeb-comp") {
+		t.Errorf("unknown row: err = %v, want it named with the valid rows", err)
 	}
 }
 

@@ -3,88 +3,10 @@ package explore
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"strconv"
 	"strings"
-
-	"adasim/internal/aebs"
-	"adasim/internal/core"
-	"adasim/internal/fi"
 )
-
-// SpecFlags is the shared CLI vocabulary for describing an exploration.
-// adasimctl explore and scen both register it on their flag sets and
-// assemble the spec through Spec, so the two binaries cannot drift.
-type SpecFlags struct {
-	Family      string
-	Method      string
-	Axes        string
-	Fixed       string
-	Samples     int
-	SamplerSeed int64
-	BaseSeed    int64
-	Steps       int
-	Fault       string
-	Driver      bool
-	Check       bool
-	AEB         string
-	Monitor     bool
-	BAxis       string
-	BMin        float64
-	BMax        float64
-	Tol         float64
-	MaxProbes   int
-}
-
-// Register wires the shared exploration flags onto fs.
-func (f *SpecFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Family, "family", "cut-in", "scenario family (see the scenario catalogue)")
-	fs.StringVar(&f.Method, "method", "", "grid|lhs|random (leave empty with -boundary-axis)")
-	fs.StringVar(&f.Axes, "axes", "", "swept axes, name=min:max[:points],...")
-	fs.StringVar(&f.Fixed, "fixed", "", "pinned parameters, name=value,...")
-	fs.IntVar(&f.Samples, "samples", 0, "lhs/random sample count (0 = default)")
-	fs.Int64Var(&f.SamplerSeed, "sampler-seed", 0, "sampler seed (lhs/random)")
-	fs.Int64Var(&f.BaseSeed, "seed", 0, "base seed for per-probe run seeds")
-	fs.IntVar(&f.Steps, "steps", 0, "steps per probe (0 = paper default)")
-	fs.StringVar(&f.Fault, "fault", "none", "fault target: none|rd|curv|mixed")
-	fs.BoolVar(&f.Driver, "driver", false, "enable the driver reaction model")
-	fs.BoolVar(&f.Check, "check", false, "enable the firmware safety checker")
-	fs.StringVar(&f.AEB, "aeb", "off", "AEBS source: off|comp|indep")
-	fs.BoolVar(&f.Monitor, "monitor", false, "enable the runtime anomaly monitor")
-	fs.StringVar(&f.BAxis, "boundary-axis", "", "hazard-boundary search axis (switches to the boundary method)")
-	fs.Float64Var(&f.BMin, "boundary-min", 0, "boundary axis lower bound (0 with -boundary-max 0 = family box)")
-	fs.Float64Var(&f.BMax, "boundary-max", 0, "boundary axis upper bound")
-	fs.Float64Var(&f.Tol, "tol", 0, "boundary tolerance in axis units (0 = default)")
-	fs.IntVar(&f.MaxProbes, "max-probes", 0, "boundary probe cap (0 = default)")
-}
-
-// Spec assembles the exploration spec from the parsed flag values.
-func (f *SpecFlags) Spec() (Spec, error) {
-	spec := Spec{
-		Family: f.Family, Method: f.Method,
-		Samples: f.Samples, Seed: f.SamplerSeed, BaseSeed: f.BaseSeed, Steps: f.Steps,
-	}
-	var err error
-	if spec.Axes, err = ParseAxes(f.Axes); err != nil {
-		return spec, err
-	}
-	if spec.Fixed, err = ParseFixed(f.Fixed); err != nil {
-		return spec, err
-	}
-	if spec.Fault, err = ParseFault(f.Fault); err != nil {
-		return spec, err
-	}
-	if spec.Interventions, err = ParseInterventions(f.Driver, f.Check, f.AEB, f.Monitor); err != nil {
-		return spec, err
-	}
-	if f.BAxis != "" {
-		spec.Boundary = &BoundarySpec{
-			Axis: f.BAxis, Min: f.BMin, Max: f.BMax, Tolerance: f.Tol, MaxProbes: f.MaxProbes,
-		}
-	}
-	return spec, nil
-}
 
 // DecodeSpec strictly parses a JSON exploration spec, rejecting unknown
 // fields — the same contract the service's submission endpoint applies,
@@ -97,40 +19,6 @@ func DecodeSpec(b []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	return spec, nil
-}
-
-// ParseFault maps a CLI fault label to the paper's Table III defaults.
-// It is shared by adasimctl and scen so the label vocabulary cannot
-// drift between the binaries.
-func ParseFault(label string) (fi.Params, error) {
-	switch label {
-	case "none", "":
-		return fi.Params{}, nil
-	case "rd":
-		return fi.DefaultParams(fi.TargetRelDistance), nil
-	case "curv":
-		return fi.DefaultParams(fi.TargetCurvature), nil
-	case "mixed":
-		return fi.DefaultParams(fi.TargetMixed), nil
-	default:
-		return fi.Params{}, fmt.Errorf("unknown fault %q (want none|rd|curv|mixed)", label)
-	}
-}
-
-// ParseInterventions assembles an intervention set from the shared CLI
-// flag vocabulary (aeb: off|comp|indep).
-func ParseInterventions(driver, check bool, aeb string, monitor bool) (core.InterventionSet, error) {
-	iv := core.InterventionSet{Driver: driver, SafetyCheck: check, Monitor: monitor}
-	switch aeb {
-	case "off", "":
-	case "comp":
-		iv.AEB = aebs.SourceCompromised
-	case "indep":
-		iv.AEB = aebs.SourceIndependent
-	default:
-		return iv, fmt.Errorf("unknown aeb source %q (want off|comp|indep)", aeb)
-	}
-	return iv, nil
 }
 
 // ParseAxes parses a CLI axis list of the form

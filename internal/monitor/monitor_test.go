@@ -30,6 +30,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LateralStrikes = 0 },
 		func(c *Config) { c.FallbackDecel = 0 },
 		func(c *Config) { c.Hold = -1 },
+		func(c *Config) { c.TrackLossMin = -1 },
+		func(c *Config) { c.TrackLossMax = c.TrackLossMin - 1 },
+		func(c *Config) { c.LateralMargin = -1 },
+		func(c *Config) { c.ResidualWindow = 0 },
+		func(c *Config) { c.ResidualCap = 0 },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

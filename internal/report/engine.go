@@ -104,18 +104,14 @@ func (cc countingCache) Get(key string) (metrics.Outcome, bool) {
 
 func (cc countingCache) Put(key string, out metrics.Outcome) { cc.inner.Put(key, out) }
 
-// Run computes the report and returns its result. The spec is normalized
-// and validated first, so callers may pass the raw wire form.
-func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
+// setup normalizes and validates spec and returns the campaign config
+// that runs through the engine's executor and cache, with a snapshot of
+// its counters.
+func (e *Engine) setup(spec Spec) (Spec, experiments.Config, func() Stats, error) {
 	n := spec.Normalized()
 	if err := n.Validate(); err != nil {
-		return nil, Stats{}, err
+		return n, experiments.Config{}, nil, err
 	}
-	hash, err := n.Hash()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
 	var ran, hits atomic.Int64
 	note := func() {
 		if e.Progress != nil {
@@ -130,6 +126,36 @@ func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
 	}
 	if e.cache != nil {
 		cfg.Cache = countingCache{inner: e.cache, hits: &hits, note: note}
+	}
+	stats := func() Stats {
+		return Stats{Runs: int(ran.Load() + hits.Load()), CacheHits: int(hits.Load())}
+	}
+	return n, cfg, stats, nil
+}
+
+// TableVI runs Table VI's cells for the given campaigns at the spec's
+// reps, steps and seed. Pass experiments.SelectCampaigns over
+// experiments.TableVICampaigns for a row subset: each row keeps its
+// table-wide salt, so its cells equal those of the full table6 artifact.
+func (e *Engine) TableVI(spec Spec, campaigns []experiments.Campaign) (*experiments.TableVIResult, Stats, error) {
+	_, cfg, stats, err := e.setup(spec)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	t, err := experiments.TableVI(cfg, campaigns)
+	return t, stats(), err
+}
+
+// Run computes the report and returns its result. The spec is normalized
+// and validated first, so callers may pass the raw wire form.
+func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
+	n, cfg, stats, err := e.setup(spec)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	hash, err := n.Hash()
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	// Table V derives from Table IV's fault-free runs, so the campaign
@@ -153,37 +179,37 @@ func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
 		case Table4:
 			t, err := tableIV()
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, "table4.txt", t.Render())
 		case Table5:
 			t, err := tableIV()
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, "table5.txt", experiments.RenderTableV(experiments.TableV(t.Runs)))
 		case Table6:
-			t, err := experiments.TableVI(cfg, experiments.TableVIRows(e.MLNet))
+			t, err := experiments.TableVI(cfg, experiments.TableVICampaigns(experiments.TableVIRows(e.MLNet)))
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, "table6.txt", t.Render())
 		case Table7:
 			cells, err := experiments.TableVII(cfg)
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, "table7.txt", experiments.RenderTableVII(cells))
 		case Table8:
 			cells, err := experiments.TableVIII(cfg)
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, "table8.txt", experiments.RenderTableVIII(cells))
 		case Fig5:
 			figs, err := experiments.Figure5(cfg)
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			for _, f := range figs {
 				add(name, f.Name+".csv", f.CSV())
@@ -191,32 +217,28 @@ func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
 		case Fig6:
 			fig, err := experiments.Figure6(cfg)
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, fig.Name+".csv", fig.CSV())
 		case Ext:
 			cells, err := experiments.ExtensionStudy(cfg)
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, "extension_study.txt", experiments.RenderExtensionStudy(cells))
 		case Weather:
 			cells, err := experiments.WeatherStudy(cfg)
 			if err != nil {
-				return nil, statsOf(&ran, &hits), err
+				return nil, stats(), err
 			}
 			add(name, "weather_study.txt", experiments.RenderWeatherStudy(cells))
 		default:
-			return nil, statsOf(&ran, &hits), fmt.Errorf("report: unknown artifact %q", name)
+			return nil, stats(), fmt.Errorf("report: unknown artifact %q", name)
 		}
 	}
-	stats := statsOf(&ran, &hits)
+	st := stats()
 	// Executed plus cached equals the planned run count, a pure function
 	// of the spec — so TotalRuns stays byte-stable across cache warmth.
-	res.TotalRuns = stats.Runs
-	return res, stats, nil
-}
-
-func statsOf(ran, hits *atomic.Int64) Stats {
-	return Stats{Runs: int(ran.Load() + hits.Load()), CacheHits: int(hits.Load())}
+	res.TotalRuns = st.Runs
+	return res, st, nil
 }
