@@ -39,8 +39,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *render < 0 {
+	// core.Options reads a zero friction or step count as "default", so
+	// a non-positive value here would silently run a dry 10000-step road.
+	switch {
+	case *render < 0:
 		return fmt.Errorf("-render must be >= 0, got %v", *render)
+	case !(*friction > 0):
+		return fmt.Errorf("-friction must be > 0, got %v", *friction)
+	case *steps <= 0:
+		return fmt.Errorf("-steps must be > 0, got %d", *steps)
 	}
 	iv := attack.Interventions
 	if iv.Driver {

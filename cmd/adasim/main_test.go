@@ -25,6 +25,10 @@ func TestRun(t *testing.T) {
 			[]string{"simulated:           3.0 s (300 steps)", "lane position", "   0s |", "   2s |", "outcome: "}, ""},
 		{"bad fault", []string{"-fault", "curve"}, nil, `unknown fault "curve" (want none|rd|curv|mixed)`},
 		{"bad render", []string{"-render", "-1"}, nil, "-render must be >= 0"},
+		{"zero friction", []string{"-friction", "0"}, nil, "-friction must be > 0, got 0"},
+		{"negative friction", []string{"-friction", "-0.5"}, nil, "-friction must be > 0, got -0.5"},
+		{"zero steps", []string{"-steps", "0"}, nil, "-steps must be > 0, got 0"},
+		{"negative steps", []string{"-steps", "-3"}, nil, "-steps must be > 0, got -3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -31,7 +31,7 @@ func (p *Platform) observe(t float64, out perception.Output, res safety.Result,
 
 	// Body-edge distance to the nearest lane line.
 	left, right := p.road.LaneLineDistances(es.D)
-	lineMin := math.Min(left, right) - params.Width/2
+	lineMin := min(left, right) - params.Width/2
 
 	// Benign-performance metrics.
 	if ttc < p.outcome.MinTTC {
@@ -44,7 +44,7 @@ func (p *Platform) observe(t float64, out perception.Output, res safety.Result,
 	if lineMin < p.outcome.MinLaneLineDist {
 		p.outcome.MinLaneLineDist = lineMin
 	}
-	brakeFrac := math.Max(0, -res.Cmd.Accel) / params.MaxBrake
+	brakeFrac := max(0, -res.Cmd.Accel) / params.MaxBrake
 	if brakeFrac > p.outcome.HardestBrake {
 		p.outcome.HardestBrake = brakeFrac
 	}

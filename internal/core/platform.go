@@ -366,27 +366,7 @@ func (p *Platform) Step() {
 	var aebDec aebs.Decision
 	trueLead, trueGap, trueLeadOK := p.world.Lead()
 	if p.aeb != nil {
-		var in aebs.Inputs
-		switch p.aeb.Source() {
-		case aebs.SourceIndependent:
-			// The independent radar has a wider lateral acceptance than
-			// the camera model, so it keeps tracking the lead during a
-			// lateral excursion.
-			radarLead, radarGap, radarOK := p.world.LeadWithin(1.1)
-			in = aebs.Inputs{EgoSpeed: egoState.V, LeadValid: radarOK}
-			if radarOK {
-				in.RD = radarGap
-				in.RS = egoState.V - radarLead.State().V
-			}
-		default: // compromised: same (possibly attacked) data as the ADAS
-			in = aebs.Inputs{
-				EgoSpeed:  out.EgoSpeed,
-				LeadValid: out.LeadValid,
-				RD:        out.LeadDistance,
-				RS:        out.RelSpeed(),
-			}
-		}
-		aebDec = p.aeb.Update(t, in)
+		aebDec = p.aeb.Update(t, p.aebInputs(egoState, out))
 		if aebDec.Braking() && p.outcome.AEBBrakeAt < 0 {
 			p.outcome.AEBBrakeAt = t
 		}
@@ -444,6 +424,29 @@ func (p *Platform) Step() {
 	p.observe(t, out, res, faultActive, aebDec, iv, mlActive, monDec.Active)
 }
 
+// aebInputs builds the AEBS inputs from its configured source.
+func (p *Platform) aebInputs(es vehicle.State, out perception.Output) aebs.Inputs {
+	if p.aeb.Source() != aebs.SourceIndependent {
+		// Compromised: same (possibly attacked) data as the ADAS.
+		return aebs.Inputs{
+			EgoSpeed:  out.EgoSpeed,
+			LeadValid: out.LeadValid,
+			RD:        out.LeadDistance,
+			RS:        out.RelSpeed(),
+		}
+	}
+	// The independent radar has a wider lateral acceptance than the
+	// camera model, so it keeps tracking the lead during a lateral
+	// excursion.
+	lead, gap, ok := p.world.RadarLead()
+	in := aebs.Inputs{EgoSpeed: es.V, LeadValid: ok}
+	if ok {
+		in.RD = gap
+		in.RS = es.V - lead.State().V
+	}
+	return in
+}
+
 // driverObservation builds the driver's ground-truth view.
 func (p *Platform) driverObservation(t float64, es vehicle.State, gap float64,
 	leadOK bool, lead *world.Actor, fcw bool) driver.Observation {
@@ -460,7 +463,8 @@ func (p *Platform) driverObservation(t float64, es vehicle.State, gap float64,
 		LaneLineRight: right - half,
 		LaneOffset:    es.D - laneCentre,
 		Psi:           es.Psi,
-		RoadCurvature: p.road.CurvatureAt(es.S),
+		SinPsi:        p.world.Ego().Dyn.SinPsi(),
+		RoadCurvature: p.world.RoadCurvature(p.world.Ego()),
 		FCW:           fcw,
 		CutIn:         p.cutInVisible(),
 	}
@@ -486,7 +490,7 @@ func (p *Platform) cutInVisible() bool {
 		if math.Abs(dd) < lw*0.6 || math.Abs(dd) > lw*1.5 {
 			continue
 		}
-		latVel := as.V * math.Sin(as.Psi)
+		latVel := as.V * a.Dyn.SinPsi()
 		if (dd > 0 && latVel < -0.3) || (dd < 0 && latVel > 0.3) {
 			return true
 		}

@@ -83,6 +83,7 @@ type Observation struct {
 	LaneLineRight float64 // true distance to right lane line (m)
 	LaneOffset    float64 // lateral offset from own lane centre (m, +left)
 	Psi           float64 // heading error relative to road tangent (rad)
+	SinPsi        float64 // math.Sin(Psi)
 	RoadCurvature float64 // road curvature at the ego position (1/m)
 
 	FCW   bool // forward collision warning currently sounding
@@ -290,8 +291,8 @@ func (m *Model) unexpectedAccelGap() float64 {
 // it fires when the time to line crossing at the current lateral velocity
 // drops below ~1.2 s, or when the body is effectively on the line.
 func (m *Model) steerCondition(ob Observation) Condition {
-	minLine := math.Min(ob.LaneLineLeft, ob.LaneLineRight)
-	latVel := ob.EgoSpeed * math.Sin(ob.Psi)
+	minLine := min(ob.LaneLineLeft, ob.LaneLineRight)
+	latVel := ob.EgoSpeed * ob.SinPsi
 	const ttlc = 1.2
 	departing := (latVel > 0.05 && ob.LaneLineLeft < latVel*ttlc) ||
 		(latVel < -0.05 && ob.LaneLineRight < -latVel*ttlc)
@@ -368,7 +369,7 @@ func (m *Model) Update(ob Observation, dt float64) Intervention {
 	var iv Intervention
 	if m.brakeActive {
 		// Jerk-limited ramp toward the emergency deceleration.
-		m.brakeAccel = math.Max(m.brakeAccel-m.cfg.BrakeJerk*dt, -m.cfg.BrakeDecel)
+		m.brakeAccel = max(m.brakeAccel-m.cfg.BrakeJerk*dt, -m.cfg.BrakeDecel)
 		iv.BrakeActive = true
 		iv.BrakeAccel = m.brakeAccel
 	} else {
@@ -384,8 +385,8 @@ func (m *Model) Update(ob Observation, dt float64) Intervention {
 // steerCurvature computes the corrective steering: a pure-pursuit return
 // to the lane centre on top of the road curvature.
 func (m *Model) steerCurvature(ob Observation) float64 {
-	look := math.Max(8, ob.EgoSpeed*0.8)
-	latErr := -ob.LaneOffset - look*math.Sin(ob.Psi)
+	look := max(8, ob.EgoSpeed*0.8)
+	latErr := -ob.LaneOffset - look*ob.SinPsi
 	kappa := ob.RoadCurvature + m.cfg.SteerGain*2*latErr/(look*look)
 	return units.Clamp(kappa, -0.2, 0.2)
 }

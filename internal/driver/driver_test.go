@@ -216,6 +216,7 @@ func TestPredictiveLDW(t *testing.T) {
 		o.LaneLineLeft = 0.7
 		o.LaneLineRight = 2.8
 		o.Psi = 0.05 // latVel = 20*sin(0.05) ~ 1.0 m/s
+		o.SinPsi = math.Sin(o.Psi)
 		o.LaneOffset = 0.3
 		return o
 	}

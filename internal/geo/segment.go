@@ -111,13 +111,24 @@ func (c *Curve) Length() float64 { return c.length }
 
 // segmentAt locates the segment containing arc length s and returns its
 // index and the local offset within it. s is clamped to [0, Length].
-func (c *Curve) segmentAt(s float64) (int, float64) {
+// hint is the segment a tracked point was last found on, as
+// ProjectOptions.Hint is its last arc length: that segment and the next
+// are tried before the binary search, and the result is the search's
+// whatever the hint.
+func (c *Curve) segmentAt(s float64, hint int) (int, float64) {
 	if s <= 0 {
 		return 0, 0
 	}
 	if s >= c.length {
 		last := len(c.segs) - 1
 		return last, c.segs[last].Length
+	}
+	// starts is non-decreasing, so i is the search's answer (the last
+	// start <= s) exactly when the next start is past s.
+	for i := max(hint, 0); i < len(c.segs) && i <= hint+1; i++ {
+		if c.starts[i] <= s && (i+1 == len(c.segs) || s < c.starts[i+1]) {
+			return i, s - c.starts[i]
+		}
 	}
 	// Binary search over cumulative starts.
 	lo, hi := 0, len(c.segs)-1
@@ -134,14 +145,16 @@ func (c *Curve) segmentAt(s float64) (int, float64) {
 
 // PoseAt returns the pose at arc length s, clamping s to the curve domain.
 func (c *Curve) PoseAt(s float64) Pose {
-	i, local := c.segmentAt(s)
+	i, local := c.segmentAt(s, -1)
 	return c.segs[i].PoseAt(local)
 }
 
-// CurvatureAt returns the signed curvature at arc length s.
-func (c *Curve) CurvatureAt(s float64) float64 {
-	i, _ := c.segmentAt(s)
-	return c.segs[i].Curvature
+// CurvatureAt returns the signed curvature at arc length s. hint is the
+// segment the previous lookup of a tracked point returned (-1 for none),
+// and seg is the one to pass next time; kappa never depends on the hint.
+func (c *Curve) CurvatureAt(s float64, hint int) (kappa float64, seg int) {
+	seg, _ = c.segmentAt(s, hint)
+	return c.segs[seg].Curvature, seg
 }
 
 // ToCartesian converts a Frenet coordinate (s along the curve, d lateral

@@ -112,17 +112,51 @@ func TestCurveCurvatureAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.CurvatureAt(50); got != 0 {
+	if got, _ := c.CurvatureAt(50, -1); got != 0 {
 		t.Errorf("curvature at 50 = %v", got)
 	}
-	if got := c.CurvatureAt(120); got != 0.02 {
+	if got, _ := c.CurvatureAt(120, -1); got != 0.02 {
 		t.Errorf("curvature at 120 = %v", got)
 	}
-	if got := c.CurvatureAt(-10); got != 0 {
+	if got, _ := c.CurvatureAt(-10, -1); got != 0 {
 		t.Errorf("curvature clamped low = %v", got)
 	}
-	if got := c.CurvatureAt(1e9); got != 0.02 {
+	if got, _ := c.CurvatureAt(1e9, -1); got != 0.02 {
 		t.Errorf("curvature clamped high = %v", got)
+	}
+}
+
+// TestSegmentHintMatchesSearch: whatever the hint (none, stale, right,
+// out of range), segmentAt returns the binary search's segment. The
+// boundaries are probed exactly, where an off-by-one would show.
+func TestSegmentHintMatchesSearch(t *testing.T) {
+	c, err := NewCurve(
+		Segment{Length: 400},
+		Segment{Length: 300, Curvature: 1 / 450.},
+		Segment{Length: 1e-14}, // below ulp(700): two equal starts
+		Segment{Length: 200},
+		Segment{Length: 280, Curvature: -1 / 350.},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(s float64) (int, float64) { return c.segmentAt(s, -2) }
+	probes := []float64{-1, 0, math.NaN(), c.Length(), c.Length() + 1}
+	for _, st := range c.starts {
+		probes = append(probes, st, math.Nextafter(st, -1), math.Nextafter(st, 2e3))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		probes = append(probes, rng.Float64()*c.Length())
+	}
+	for _, s := range probes {
+		wantSeg, wantLocal := search(s)
+		for hint := -3; hint <= len(c.segs)+1; hint++ {
+			seg, local := c.segmentAt(s, hint)
+			if seg != wantSeg || math.Float64bits(local) != math.Float64bits(wantLocal) {
+				t.Fatalf("segmentAt(%v, hint %d) = %d, %v; search gives %d, %v", s, hint, seg, local, wantSeg, wantLocal)
+			}
+		}
 	}
 }
 

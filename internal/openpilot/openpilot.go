@@ -156,7 +156,7 @@ func (c *Controller) Update(out perception.Output, dt float64) vehicle.Command {
 	// Comfort jerk limiting: deceleration demand grows at most BrakeJerk
 	// per second; releasing the brake is immediate.
 	if c.cfg.BrakeJerk > 0 && accel < c.curAccel {
-		accel = math.Max(accel, c.curAccel-c.cfg.BrakeJerk*dt)
+		accel = max(accel, c.curAccel-c.cfg.BrakeJerk*dt)
 	}
 	c.curAccel = accel
 	kappa := c.lateral(out, dt)
@@ -195,7 +195,7 @@ func (c *Controller) longitudinal(out perception.Output) float64 {
 			// lead's speed just before the minimum gap, applied only when
 			// it is already substantial.
 			if rel > 0 {
-				margin := math.Max(gap-c.cfg.MinGap, 0.5)
+				margin := max(gap-c.cfg.MinGap, 0.5)
 				required := -rel * rel / (2 * margin)
 				if required < -2.0 && required < accel {
 					accel = required

@@ -129,6 +129,8 @@ type Model struct {
 	buf   []Output
 	head  int
 	count int
+
+	previewSeg int // road segment hint for the curvature preview
 }
 
 // New constructs a perception model with the given config and noise seed.
@@ -153,6 +155,7 @@ func (m *Model) Reset(cfg Config, seed int64) error {
 	}
 	m.head = 0
 	m.count = 0
+	m.previewSeg = 0
 	m.rng.Seed(seed)
 	return nil
 }
@@ -190,7 +193,8 @@ func (m *Model) Perceive(w *world.World) Output {
 
 // sense computes an instantaneous perception frame.
 func (m *Model) sense(w *world.World) Output {
-	es := w.Ego().State()
+	ego := w.Ego().Dyn
+	es := ego.State()
 	r := w.Road()
 
 	var out Output
@@ -200,8 +204,8 @@ func (m *Model) sense(w *world.World) Output {
 	// Lead vehicle.
 	if lead, gap, ok := w.Lead(); ok && gap >= m.cfg.MinDetection && gap <= m.cfg.DetectionRange {
 		out.LeadValid = true
-		out.LeadDistance = math.Max(0, gap+m.noise(m.cfg.DistanceNoise))
-		out.LeadSpeed = math.Max(0, lead.State().V+m.noise(m.cfg.SpeedNoise))
+		out.LeadDistance = max(0, gap+m.noise(m.cfg.DistanceNoise))
+		out.LeadSpeed = max(0, lead.State().V+m.noise(m.cfg.SpeedNoise))
 	}
 
 	// Lane lines.
@@ -212,12 +216,15 @@ func (m *Model) sense(w *world.World) Output {
 	// Desired curvature: pure-pursuit toward the lane centre at a
 	// speed-scaled lookahead, on top of the previewed road curvature.
 	laneCentre := r.LaneCenterOffset(r.LaneForOffset(es.D))
+	// math.Max, not the builtin: MinLookahead is unchecked, and the two
+	// differ for (+Inf, NaN).
 	lookDist := math.Max(m.cfg.MinLookahead, es.V*m.cfg.Lookahead)
 	if lookDist <= 0 {
 		lookDist = 20
 	}
-	previewKappa := r.CurvatureAt(es.S + lookDist/2)
-	latErr := (laneCentre - es.D) - lookDist*math.Sin(es.Psi)
+	var previewKappa float64
+	previewKappa, m.previewSeg = r.CurvatureAt(es.S+lookDist/2, m.previewSeg)
+	latErr := (laneCentre - es.D) - lookDist*ego.SinPsi()
 	out.DesiredCurvature = previewKappa + 2*latErr/(lookDist*lookDist) +
 		m.noise(m.cfg.CurvatureNoise)
 
@@ -242,7 +249,7 @@ func (m *Model) detectCutIn(w *world.World) bool {
 			continue // already in lane, or too far to matter
 		}
 		// Lateral velocity toward the ego lane.
-		latVel := as.V * math.Sin(as.Psi)
+		latVel := as.V * a.Dyn.SinPsi()
 		if (dd > 0 && latVel < -m.cfg.CutInLateralRate) ||
 			(dd < 0 && latVel > m.cfg.CutInLateralRate) {
 			return true

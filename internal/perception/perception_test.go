@@ -11,7 +11,7 @@ import (
 
 type holdCtrl struct{}
 
-func (holdCtrl) Command(t float64, self vehicle.State, w *world.World) vehicle.Command {
+func (holdCtrl) Command(t float64, self *world.Actor, w *world.World) vehicle.Command {
 	return vehicle.Command{}
 }
 

@@ -127,8 +127,10 @@ func (r *Road) SetFriction(mu float64) error {
 }
 
 // CurvatureAt returns the reference-lane centreline curvature at arc
-// length s.
-func (r *Road) CurvatureAt(s float64) float64 { return r.curve.CurvatureAt(s) }
+// length s, with geo.Curve.CurvatureAt's segment hint.
+func (r *Road) CurvatureAt(s float64, hint int) (kappa float64, seg int) {
+	return r.curve.CurvatureAt(s, hint)
+}
 
 // PoseAt returns the reference-lane centreline pose at arc length s.
 func (r *Road) PoseAt(s float64) geo.Pose { return r.curve.PoseAt(s) }

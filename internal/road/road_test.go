@@ -199,7 +199,7 @@ func TestCurvyMapHasCurves(t *testing.T) {
 	}
 	var sawLeft, sawRight bool
 	for s := 0.0; s < r.Length(); s += 10 {
-		k := r.CurvatureAt(s)
+		k, _ := r.CurvatureAt(s, -1)
 		if k > 0 {
 			sawLeft = true
 		}

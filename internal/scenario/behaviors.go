@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"math"
-
 	"adasim/internal/units"
 	"adasim/internal/vehicle"
 	"adasim/internal/world"
@@ -67,7 +65,8 @@ type LeadBehavior struct {
 var _ world.Controller = (*LeadBehavior)(nil)
 
 // Command implements world.Controller.
-func (b *LeadBehavior) Command(t float64, self vehicle.State, w *world.World) vehicle.Command {
+func (b *LeadBehavior) Command(t float64, actor *world.Actor, w *world.World) vehicle.Command {
+	self := actor.State()
 	// Longitudinal: P control toward the current target speed.
 	target := b.InitialSpeed
 	if b.SpeedTrigger.Kind != 0 && !b.speedFired && b.SpeedTrigger.fired(t, self, w) {
@@ -90,7 +89,7 @@ func (b *LeadBehavior) Command(t float64, self vehicle.State, w *world.World) ve
 	latTarget := b.InitialLaneOffset
 	if b.LaneTrigger.Kind != 0 {
 		if b.laneFiredAt == 0 && b.LaneTrigger.fired(t, self, w) {
-			b.laneFiredAt = math.Max(t, 1e-9)
+			b.laneFiredAt = max(t, 1e-9)
 		}
 		if b.laneFiredAt > 0 {
 			dur := b.LaneChangeTime
@@ -101,7 +100,7 @@ func (b *LeadBehavior) Command(t float64, self vehicle.State, w *world.World) ve
 			latTarget = b.InitialLaneOffset + frac*(b.TargetLaneOffset-b.InitialLaneOffset)
 		}
 	}
-	kappa := trackOffset(self, w, latTarget)
+	kappa := trackOffset(actor, w, latTarget)
 	return vehicle.Command{Accel: accel, Curvature: kappa}
 }
 
@@ -114,10 +113,11 @@ func laneChangeFrac(elapsed, dur float64) float64 {
 
 // trackOffset returns the curvature command to follow the road at lateral
 // offset target.
-func trackOffset(self vehicle.State, w *world.World, target float64) float64 {
-	look := math.Max(8, self.V*0.8)
-	latErr := (target - self.D) - look*math.Sin(self.Psi)
-	kappa := w.Road().CurvatureAt(self.S) + 2*latErr/(look*look)
+func trackOffset(actor *world.Actor, w *world.World, target float64) float64 {
+	self := actor.State()
+	look := max(8, self.V*0.8)
+	latErr := (target - self.D) - look*actor.Dyn.SinPsi()
+	kappa := w.RoadCurvature(actor) + 2*latErr/(look*look)
 	return units.Clamp(kappa, -0.2, 0.2)
 }
 
@@ -144,7 +144,8 @@ func NewGenBehavior(spec BehaviorSpec, initialLaneOffset float64) *GenBehavior {
 }
 
 // Command implements world.Controller.
-func (b *GenBehavior) Command(t float64, self vehicle.State, w *world.World) vehicle.Command {
+func (b *GenBehavior) Command(t float64, actor *world.Actor, w *world.World) vehicle.Command {
+	self := actor.State()
 	segs := b.Spec.Segments
 	for b.active+1 < len(segs) && segs[b.active+1].Trigger.fired(t, self, w) {
 		b.active++
@@ -170,7 +171,7 @@ func (b *GenBehavior) Command(t float64, self vehicle.State, w *world.World) veh
 	latTarget := b.InitialLaneOffset
 	if b.Spec.LaneTrigger.Kind != 0 {
 		if b.laneFiredAt == 0 && b.Spec.LaneTrigger.fired(t, self, w) {
-			b.laneFiredAt = math.Max(t, 1e-9)
+			b.laneFiredAt = max(t, 1e-9)
 		}
 		if b.laneFiredAt > 0 {
 			dur := b.Spec.LaneChangeTime
@@ -181,5 +182,5 @@ func (b *GenBehavior) Command(t float64, self vehicle.State, w *world.World) veh
 			latTarget = b.InitialLaneOffset + frac*(b.Spec.TargetLaneOffset-b.InitialLaneOffset)
 		}
 	}
-	return vehicle.Command{Accel: accel, Curvature: trackOffset(self, w, latTarget)}
+	return vehicle.Command{Accel: accel, Curvature: trackOffset(actor, w, latTarget)}
 }

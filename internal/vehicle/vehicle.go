@@ -87,8 +87,15 @@ type StepInput struct {
 // Dynamics integrates a single vehicle. The zero value is not usable;
 // construct with New.
 type Dynamics struct {
-	params Params
-	state  State
+	params   Params
+	maxKappa float64 // params.MaxCurvature(); Params never change after New
+	state    State
+	// sinPsi and cosPsi are math.Sincos(state.Psi), taken once per state.
+	sinPsi, cosPsi float64
+	// lag is the actuator-lag factor 1-exp(-lagDT/ActuatorTau) of the
+	// last step size lagDT.
+	lagDT, lag float64
+	rev        uint64 // counts state changes; see Revision
 }
 
 // New constructs vehicle dynamics with the given parameters and initial
@@ -100,7 +107,9 @@ func New(params Params, initial State) (*Dynamics, error) {
 	if initial.V < 0 {
 		return nil, fmt.Errorf("vehicle: initial speed %v must be non-negative", initial.V)
 	}
-	return &Dynamics{params: params, state: initial}, nil
+	d := &Dynamics{params: params, maxKappa: params.MaxCurvature()}
+	d.SetState(initial)
+	return d, nil
 }
 
 // Params returns the vehicle parameters.
@@ -109,8 +118,19 @@ func (d *Dynamics) Params() Params { return d.params }
 // State returns the current state.
 func (d *Dynamics) State() State { return d.state }
 
+// SinPsi returns math.Sin(State().Psi), computed once per state.
+func (d *Dynamics) SinPsi() float64 { return d.sinPsi }
+
+// Revision counts the state changes (Step, SetState) so far, so a cache
+// derived from the state can tell when it went stale.
+func (d *Dynamics) Revision() uint64 { return d.rev }
+
 // SetState replaces the current state. Used by scripted actors.
-func (d *Dynamics) SetState(s State) { d.state = s }
+func (d *Dynamics) SetState(s State) {
+	d.state = s
+	d.sinPsi, d.cosPsi = math.Sincos(s.Psi)
+	d.rev++
+}
 
 // Step advances the state by in.DT under cmd, applying actuator lag and
 // friction limits. It returns the new state.
@@ -132,25 +152,29 @@ func (d *Dynamics) Step(cmd Command, in StepInput) State {
 	st := d.state
 
 	// Actuator lag: first-order response toward the commanded values.
-	alpha := 1.0
-	if d.params.ActuatorTau > 0 {
-		alpha = 1 - math.Exp(-in.DT/d.params.ActuatorTau)
+	if in.DT != d.lagDT {
+		d.lagDT, d.lag = in.DT, 1
+		if d.params.ActuatorTau > 0 {
+			d.lag = 1 - math.Exp(-in.DT/d.params.ActuatorTau)
+		}
 	}
+	alpha := d.lag
 	st.Accel += alpha * (cmd.Accel - st.Accel)
 	st.Kappa += alpha * (cmd.Curvature - st.Kappa)
 
-	// Friction and hardware limits.
-	maxBrake := math.Min(d.params.MaxBrake, mu*units.Gravity)
+	// Friction and hardware limits. Neither min operand can be -Inf, the
+	// one input where the builtin and math.Min differ.
+	maxBrake := min(d.params.MaxBrake, mu*units.Gravity)
 	st.Accel = units.Clamp(st.Accel, -maxBrake, d.params.MaxAccel)
-	kapLimit := d.params.MaxCurvature()
+	kapLimit := d.maxKappa
 	if st.V > 1 {
-		kapLimit = math.Min(kapLimit, mu*units.Gravity/(st.V*st.V))
+		kapLimit = min(kapLimit, mu*units.Gravity/(st.V*st.V))
 	}
 	st.Kappa = units.Clamp(st.Kappa, -kapLimit, kapLimit)
 
 	// Longitudinal integration; speed never goes negative.
 	v0 := st.V
-	st.V = math.Max(0, st.V+st.Accel*in.DT)
+	st.V = max(0, st.V+st.Accel*in.DT)
 	vMid := (v0 + st.V) / 2
 
 	// Frenet kinematics.
@@ -158,13 +182,13 @@ func (d *Dynamics) Step(cmd Command, in StepInput) State {
 	if denom < 0.2 {
 		denom = 0.2 // guard against degenerate geometry far off the road
 	}
-	sDot := vMid * math.Cos(st.Psi) / denom
+	sDot := vMid * d.cosPsi / denom
 	st.S += sDot * in.DT
-	st.D += vMid * math.Sin(st.Psi) * in.DT
+	st.D += vMid * d.sinPsi * in.DT
 	st.Psi += (vMid*st.Kappa - in.RoadCurvature*sDot) * in.DT
 	st.Psi = wrapAngle(st.Psi)
 
-	d.state = st
+	d.SetState(st)
 	return st
 }
 

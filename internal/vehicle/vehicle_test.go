@@ -202,3 +202,42 @@ func TestStoppingDistance(t *testing.T) {
 }
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
+
+// TestStepCachesBitIdentical: the per-state sine/cosine and the
+// actuator-lag factor cached on the step size give the same bits as a
+// fresh Dynamics started from the same state, including after the step
+// size changes and after SetState.
+func TestStepCachesBitIdentical(t *testing.T) {
+	p := DefaultParams()
+	cmd := Command{Accel: 1.3, Curvature: 0.004}
+	in := StepInput{DT: 0.01, RoadCurvature: 1 / 450., Friction: 0.9}
+	d, err := New(p, State{S: 10, D: 0.3, Psi: 0.02, V: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	revs := d.Revision()
+	for i, dt := range []float64{0.01, 0.01, 0.02, 0.005, 0.01} {
+		fresh, err := New(p, d.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.DT = dt
+		got, want := d.Step(cmd, in), fresh.Step(cmd, in)
+		if got != want {
+			t.Fatalf("step %d (dt %v): cached %+v, fresh %+v", i, dt, got, want)
+		}
+		if d.SinPsi() != math.Sin(got.Psi) {
+			t.Fatalf("step %d: SinPsi %v, want sin(%v) = %v", i, d.SinPsi(), got.Psi, math.Sin(got.Psi))
+		}
+		if d.Revision() == revs {
+			t.Fatalf("step %d: Revision did not change", i)
+		}
+		revs = d.Revision()
+	}
+	st := d.State()
+	st.Psi = -0.3
+	d.SetState(st)
+	if d.SinPsi() != math.Sin(-0.3) || d.Revision() == revs {
+		t.Errorf("SetState: SinPsi %v (want %v), revision %d (was %d)", d.SinPsi(), math.Sin(-0.3), d.Revision(), revs)
+	}
+}

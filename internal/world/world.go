@@ -19,9 +19,9 @@ const DefaultStep = 0.01
 
 // Controller produces a command for a scripted actor each step.
 type Controller interface {
-	// Command returns the actuator command for the actor at simulation
-	// time t given its own state and a read-only view of the world.
-	Command(t float64, self vehicle.State, w *World) vehicle.Command
+	// Command returns the actuator command for actor self at simulation
+	// time t, given read-only views of the actor and the world.
+	Command(t float64, self *Actor, w *World) vehicle.Command
 }
 
 // Actor is one vehicle in the world.
@@ -29,6 +29,8 @@ type Actor struct {
 	Name string
 	Dyn  *vehicle.Dynamics
 	Ctrl Controller // nil for the ego vehicle (commanded externally)
+
+	seg int // road segment of the last curvature lookup: the next one's hint
 }
 
 // State returns the actor's current state.
@@ -41,7 +43,19 @@ type World struct {
 	actors []*Actor
 	time   float64
 	step   float64
+
+	// The lead scan of one world state, for each of leadFracs. It holds
+	// while leadRev equals the sum of the vehicles' revisions, which
+	// Step and SetState raise. Reset zeroes leadRev, a sum no world
+	// reaches: New leaves every vehicle at revision 1.
+	leadActor [2]*Actor
+	leadGap   [2]float64
+	leadRev   uint64
 }
+
+// leadFracs are the lead scan's lateral acceptances in lane widths: the
+// camera model's, and the independent AEBS radar's wider cone.
+var leadFracs = [2]float64{0.6, 1.1}
 
 // Config describes a world to build.
 type Config struct {
@@ -92,6 +106,7 @@ func (w *World) Reset(cfg Config) error {
 	w.actors = append(w.actors[:0], cfg.Actors...)
 	w.time = 0
 	w.step = cfg.Step
+	w.leadRev = 0
 	return nil
 }
 
@@ -116,22 +131,29 @@ func (w *World) Step(egoCmd vehicle.Command) {
 	dt := w.step
 	mu := w.road.Friction()
 
-	es := w.ego.Dyn.State()
 	w.ego.Dyn.Step(egoCmd, vehicle.StepInput{
 		DT:            dt,
-		RoadCurvature: w.road.CurvatureAt(es.S),
+		RoadCurvature: w.RoadCurvature(w.ego),
 		Friction:      mu,
 	})
 	for _, a := range w.actors {
-		st := a.Dyn.State()
-		cmd := a.Ctrl.Command(w.time, st, w)
+		kappa := w.RoadCurvature(a)
+		cmd := a.Ctrl.Command(w.time, a, w)
 		a.Dyn.Step(cmd, vehicle.StepInput{
 			DT:            dt,
-			RoadCurvature: w.road.CurvatureAt(st.S),
+			RoadCurvature: kappa,
 			Friction:      mu,
 		})
 	}
 	w.time += dt
+}
+
+// RoadCurvature returns the road curvature at a's arc length, starting
+// the segment search from the segment a was last found on.
+func (w *World) RoadCurvature(a *Actor) float64 {
+	kappa, seg := w.road.CurvatureAt(a.Dyn.State().S, a.seg)
+	a.seg = seg
+	return kappa
 }
 
 // Lead returns the nearest actor ahead of the ego in the ego's lane
@@ -139,34 +161,48 @@ func (w *World) Step(egoCmd vehicle.Command) {
 // the bumper-to-bumper gap to it. ok is false when no actor is ahead in
 // lane.
 func (w *World) Lead() (lead *Actor, gap float64, ok bool) {
-	return w.LeadWithin(0.6)
+	return w.lead(0)
 }
 
-// LeadWithin is Lead with an explicit lateral acceptance expressed in lane
-// widths; an independent AEBS radar uses a wider cone than the camera.
-func (w *World) LeadWithin(laneFrac float64) (lead *Actor, gap float64, ok bool) {
+// RadarLead is Lead within 1.1 lane widths: an independent AEBS radar
+// has a wider cone than the camera.
+func (w *World) RadarLead() (lead *Actor, gap float64, ok bool) {
+	return w.lead(1)
+}
+
+func (w *World) lead(i int) (*Actor, float64, bool) {
+	rev := w.ego.Dyn.Revision()
+	for _, a := range w.actors {
+		rev += a.Dyn.Revision()
+	}
+	if rev != w.leadRev {
+		w.scanLeads()
+		w.leadRev = rev
+	}
+	if w.leadActor[i] == nil {
+		return nil, 0, false
+	}
+	return w.leadActor[i], w.leadGap[i], true
+}
+
+// scanLeads finds the lead for every lateral acceptance in one pass.
+func (w *World) scanLeads() {
 	es := w.ego.Dyn.State()
-	ep := w.ego.Dyn.Params()
-	best := math.Inf(1)
+	w.leadActor = [2]*Actor{}
+	w.leadGap = [2]float64{math.Inf(1), math.Inf(1)}
 	for _, a := range w.actors {
 		as := a.Dyn.State()
 		ds := as.S - es.S
 		if ds <= 0 {
 			continue
 		}
-		if math.Abs(as.D-es.D) > w.road.LaneWidth()*laneFrac {
-			continue
-		}
-		g := ds - (ep.Length+a.Dyn.Params().Length)/2
-		if g < best {
-			best = g
-			lead = a
+		g := ds - (w.ego.Dyn.Params().Length+a.Dyn.Params().Length)/2
+		for i, frac := range leadFracs {
+			if !(math.Abs(as.D-es.D) > w.road.LaneWidth()*frac) && g < w.leadGap[i] {
+				w.leadActor[i], w.leadGap[i] = a, g
+			}
 		}
 	}
-	if lead == nil {
-		return nil, 0, false
-	}
-	return lead, best, true
 }
 
 // CollisionWith reports whether the ego's footprint overlaps actor a,

@@ -13,7 +13,7 @@ type constantCtrl struct {
 	n   int
 }
 
-func (c *constantCtrl) Command(t float64, self vehicle.State, w *World) vehicle.Command {
+func (c *constantCtrl) Command(t float64, self *Actor, w *World) vehicle.Command {
 	c.n++
 	return c.cmd
 }
@@ -117,7 +117,7 @@ func TestLeadWithinWiderCone(t *testing.T) {
 	if _, _, ok := w.Lead(); ok {
 		t.Error("camera cone should not see a 2.8 m offset vehicle")
 	}
-	if _, _, ok := w.LeadWithin(1.1); !ok {
+	if _, _, ok := w.RadarLead(); !ok {
 		t.Error("radar cone should see it")
 	}
 }
@@ -177,3 +177,54 @@ func TestEgoOutOfLane(t *testing.T) {
 }
 
 func near(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
+
+// TestLeadCacheInvalidation: the cached lead scan follows every way the
+// world state changes (SetState, Step, Reset) and always equals what a
+// scan of the current state finds.
+func TestLeadCacheInvalidation(t *testing.T) {
+	length := vehicle.DefaultParams().Length
+	lead := makeActor(t, "lead", vehicle.State{S: 80, V: 15}, &constantCtrl{})
+	w := testWorld(t, lead)
+	check := func(when string, wantOK bool, wantGap float64, wantRadar bool) {
+		t.Helper()
+		a, gap, ok := w.Lead()
+		if ok != wantOK || (ok && (a != lead || !near(gap, wantGap, 1e-9))) {
+			t.Errorf("%s: Lead() = %v, %v, %v; want ok=%v gap=%v", when, a, gap, ok, wantOK, wantGap)
+		}
+		if _, _, ok := w.RadarLead(); ok != wantRadar {
+			t.Errorf("%s: RadarLead ok = %v, want %v", when, ok, wantRadar)
+		}
+	}
+	check("start", true, 50-length, true)
+
+	st := lead.State()
+	st.S = 90
+	lead.Dyn.SetState(st)
+	check("after lead SetState", true, 60-length, true)
+
+	st.D = 2.8 // outside the camera cone, inside the radar's
+	lead.Dyn.SetState(st)
+	check("after lateral SetState", false, 0, true)
+
+	es := w.Ego().State()
+	es.S = 100 // ego passes the lead
+	w.Ego().Dyn.SetState(es)
+	check("after ego SetState", false, 0, false)
+
+	es.S = 30
+	w.Ego().Dyn.SetState(es)
+	st.D = 0
+	lead.Dyn.SetState(st)
+	check("restored", true, 60-length, true)
+	w.Step(vehicle.Command{})
+	wantGap := lead.State().S - w.Ego().State().S - length
+	check("after Step", true, wantGap, true)
+
+	other := makeActor(t, "other", vehicle.State{S: 150, V: 15}, &constantCtrl{})
+	if err := w.Reset(Config{Road: w.Road(), Ego: w.Ego(), Actors: []*Actor{other}}); err != nil {
+		t.Fatal(err)
+	}
+	if a, _, ok := w.Lead(); !ok || a != other {
+		t.Errorf("after Reset: Lead() = %v, %v; want other", a, ok)
+	}
+}
