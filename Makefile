@@ -46,10 +46,10 @@ cover:
 		if (t + 0 < f + 0) { printf "FAIL: total coverage %.1f%% is below the ratchet floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage ratchet ok: %.1f%% >= %.1f%%\n", t, f }'
 
-# bench runs the perf-tracking benchmarks (hot-loop step, nn inference,
-# campaign throughput, service throughput) with allocation reporting and
-# writes the raw test2json stream to BENCH_step.json so future PRs can
-# diff the perf trajectory. The previous BENCH_step.json is preserved
+# bench runs the perf-tracking benchmarks (hot-loop step and its
+# per-stage ledger, nn inference, campaign throughput, service
+# throughput) with allocation reporting and writes the raw test2json
+# stream to BENCH_step.json so future PRs can diff the perf trajectory. The previous BENCH_step.json is preserved
 # under BENCH_history/ (timestamped) so the trajectory is append-only
 # rather than overwritten each run.
 bench:
@@ -59,16 +59,17 @@ bench:
 		echo "backed up previous BENCH_step.json to BENCH_history/"; \
 	fi
 	$(GO) test -json -run '^$$' \
-		-bench 'BenchmarkSimulationStep$$|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
-		-benchmem -benchtime=2s -timeout 30m . > BENCH_step.json
+		-bench 'BenchmarkSimulationStep$$|BenchmarkStepStages|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
+		-benchmem -benchtime=2s -timeout 30m . ./internal/core > BENCH_step.json
 	@grep -o '"Output":"[^"]*"' BENCH_step.json | sed 's/"Output":"//;s/"$$//' \
 		| tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
 
 # bench-check is the perf smoke gate (see scripts/bench_check.sh): it
-# fails if the hot simulation step allocates at all, if the paired
-# interleaved instrumentation-overhead measurement exceeds 10%, or if
-# the segment store loses its contracted margins over a one-file-per-
-# entry JSON baseline (disk hit >= 1.25x, cold-start index build >= 10x).
+# fails if the hot simulation step or any of its stages allocates at
+# all, if the paired interleaved instrumentation-overhead measurement
+# exceeds 10%, or if the segment store loses its contracted margins over
+# a one-file-per-entry JSON baseline (disk hit >= 1.25x, cold-start
+# index build >= 10x).
 bench-check:
 	./scripts/bench_check.sh
 

@@ -220,11 +220,20 @@ func TestLeadCacheInvalidation(t *testing.T) {
 	wantGap := lead.State().S - w.Ego().State().S - length
 	check("after Step", true, wantGap, true)
 
-	other := makeActor(t, "other", vehicle.State{S: 150, V: 15}, &constantCtrl{})
-	if err := w.Reset(Config{Road: w.Road(), Ego: w.Ego(), Actors: []*Actor{other}}); err != nil {
+	// Fresh vehicles restart at the same revisions, so only Reset itself
+	// can tell the new world from the cached one.
+	fresh := testWorld(t, makeActor(t, "first", vehicle.State{S: 80, V: 15}, &constantCtrl{}))
+	fresh.Lead()
+	egoDyn, err := vehicle.New(vehicle.DefaultParams(), vehicle.State{S: 30, V: 20})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a, _, ok := w.Lead(); !ok || a != other {
+	other := makeActor(t, "other", vehicle.State{S: 150, V: 15}, &constantCtrl{})
+	cfg := Config{Road: fresh.Road(), Ego: &Actor{Name: "ego", Dyn: egoDyn}, Actors: []*Actor{other}}
+	if err := fresh.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if a, _, ok := fresh.Lead(); !ok || a != other {
 		t.Errorf("after Reset: Lead() = %v, %v; want other", a, ok)
 	}
 }

@@ -2,9 +2,11 @@
 # bench_check.sh — the perf smoke gate. Runs the two benchmarks whose
 # results are hard contracts, not just trajectory points, and fails on:
 #
-#   1. BenchmarkSimulationStep reporting > 0 allocs/op — the hot
-#      control-cycle loop is zero-alloc by design; a single allocation
-#      here multiplies by millions of steps per campaign.
+#   1. BenchmarkSimulationStep, or any BenchmarkStepStages stage,
+#      reporting > 0 allocs/op — the hot control-cycle loop is zero-alloc
+#      by design; a single allocation here multiplies by millions of
+#      steps per campaign. The per-stage gate names the stage that
+#      started allocating.
 #   2. BenchmarkInstrumentedMixedWorkload/overhead reporting an
 #      instrumentation overhead above 10% — the paired, interleaved
 #      A/B measurement of the observability layer (sequential A/B runs
@@ -27,16 +29,21 @@ GO=${GO:-go}
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT INT TERM
 
-echo "bench-check: BenchmarkSimulationStep (allocs/op gate)"
+echo "bench-check: BenchmarkSimulationStep and BenchmarkStepStages (allocs/op gate)"
 $GO test -run '^$' -bench 'BenchmarkSimulationStep$' -benchmem \
     -benchtime=10000x -timeout 10m . | tee "$OUT"
-ALLOCS=$(awk '/^BenchmarkSimulationStep/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }' "$OUT")
-[ -n "$ALLOCS" ] || { echo "FAIL: no allocs/op in BenchmarkSimulationStep output"; exit 1; }
-if [ "$ALLOCS" -gt 0 ]; then
-    echo "FAIL: BenchmarkSimulationStep allocates ($ALLOCS allocs/op, want 0)"
+$GO test -run '^$' -bench 'BenchmarkStepStages' -benchmem \
+    -benchtime=2000x -timeout 10m ./internal/core | tee -a "$OUT"
+ALLOCS=$(awk '/^Benchmark(SimulationStep|StepStages\/)/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $1, $i }' "$OUT")
+echo "$ALLOCS" | grep -q '^BenchmarkSimulationStep' || { echo "FAIL: no allocs/op in BenchmarkSimulationStep output"; exit 1; }
+echo "$ALLOCS" | grep -q '^BenchmarkStepStages/' || { echo "FAIL: no allocs/op in BenchmarkStepStages output"; exit 1; }
+BAD=$(echo "$ALLOCS" | awk '$2 > 0')
+if [ -n "$BAD" ]; then
+    echo "FAIL: the simulation step allocates (want 0 allocs/op):"
+    echo "$BAD"
     exit 1
 fi
-echo "ok: simulation step is zero-alloc"
+echo "ok: simulation step and every stage are zero-alloc"
 
 echo "bench-check: BenchmarkInstrumentedMixedWorkload/overhead (10% gate)"
 $GO test -run '^$' -bench 'BenchmarkInstrumentedMixedWorkload/overhead$' \
