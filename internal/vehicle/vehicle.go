@@ -162,8 +162,8 @@ func (d *Dynamics) Step(cmd Command, in StepInput) State {
 	st.Accel += alpha * (cmd.Accel - st.Accel)
 	st.Kappa += alpha * (cmd.Curvature - st.Kappa)
 
-	// Friction and hardware limits. Neither min operand can be -Inf, the
-	// one input where the builtin and math.Min differ.
+	// Friction and hardware limits. The builtin min differs from
+	// math.Min only for (-Inf, NaN), and no operand here can be -Inf.
 	maxBrake := min(d.params.MaxBrake, mu*units.Gravity)
 	st.Accel = units.Clamp(st.Accel, -maxBrake, d.params.MaxAccel)
 	kapLimit := d.maxKappa
