@@ -182,10 +182,10 @@ func (o Options) validate() error {
 	if err := o.Scenario.Validate(); err != nil {
 		return err
 	}
-	if o.Steps < 0 || o.StepSize < 0 {
+	if o.Steps < 0 || !(o.StepSize >= 0) {
 		return fmt.Errorf("core: Steps/StepSize must be non-negative")
 	}
-	if o.FrictionScale < 0 {
+	if !(o.FrictionScale >= 0) { // NaN fails too
 		return fmt.Errorf("core: FrictionScale must be non-negative")
 	}
 	if o.Interventions.ML && o.Interventions.MLNet == nil {

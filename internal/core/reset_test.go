@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"adasim/internal/aebs"
 	"adasim/internal/fi"
 	"adasim/internal/mlmit"
 	"adasim/internal/nn"
+	"adasim/internal/perception"
 	"adasim/internal/scenario"
+	"adasim/internal/vehicle"
 )
 
 // resetTestNet builds a small (untrained) mitigation network; Reset
@@ -119,5 +122,36 @@ func TestResetRejectsInvalidOptions(t *testing.T) {
 	bad := Options{} // zero scenario spec fails validation
 	if err := p.Reset(bad, 1); err == nil {
 		t.Error("Reset with invalid options should fail")
+	}
+}
+
+// TestNewPlatformRejectsNaN pins that a NaN reaching a bound through
+// Options fails construction instead of simulating: the JSON wire format
+// cannot carry NaN, but Go callers can.
+func TestNewPlatformRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	tests := []struct {
+		name string
+		mod  func(*Options)
+	}{
+		{"FrictionScale", func(o *Options) { o.FrictionScale = nan }},
+		{"StepSize", func(o *Options) { o.StepSize = nan }},
+		{"Vehicle.MaxSteer", func(o *Options) {
+			p := vehicle.DefaultParams()
+			p.MaxSteer = nan
+			o.Vehicle = &p
+		}},
+		{"Perception.MinLookahead", func(o *Options) {
+			c := perception.DefaultConfig()
+			c.MinLookahead = nan
+			o.Perception = &c
+		}},
+	}
+	for _, tt := range tests {
+		opts := Options{Scenario: scenario.DefaultSpec(scenario.S1, 60), Steps: 10}
+		tt.mod(&opts)
+		if _, err := NewPlatform(opts); err == nil {
+			t.Errorf("%s = NaN: NewPlatform accepted it", tt.name)
+		}
 	}
 }

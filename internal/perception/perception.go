@@ -101,16 +101,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. Every bound is
+// written so that NaN fails it.
 func (c Config) Validate() error {
-	if c.DetectionRange <= 0 {
+	if !(c.DetectionRange > 0) {
 		return fmt.Errorf("perception: DetectionRange %v must be positive", c.DetectionRange)
 	}
-	if c.MinDetection < 0 || c.MinDetection >= c.DetectionRange {
+	if !(c.MinDetection >= 0 && c.MinDetection < c.DetectionRange) {
 		return fmt.Errorf("perception: MinDetection %v out of range [0,%v)", c.MinDetection, c.DetectionRange)
 	}
-	if c.Lookahead < 0 {
+	if !(c.Lookahead >= 0) {
 		return fmt.Errorf("perception: Lookahead must be non-negative")
+	}
+	if !(c.MinLookahead >= 0 && c.MinLookahead < math.Inf(1)) {
+		return fmt.Errorf("perception: MinLookahead %v must be finite and non-negative", c.MinLookahead)
 	}
 	if c.LatencySteps < 0 {
 		return fmt.Errorf("perception: LatencySteps must be non-negative")
@@ -216,9 +220,7 @@ func (m *Model) sense(w *world.World) Output {
 	// Desired curvature: pure-pursuit toward the lane centre at a
 	// speed-scaled lookahead, on top of the previewed road curvature.
 	laneCentre := r.LaneCenterOffset(r.LaneForOffset(es.D))
-	// math.Max, not the builtin: MinLookahead is unchecked, and the two
-	// differ for (+Inf, NaN).
-	lookDist := math.Max(m.cfg.MinLookahead, es.V*m.cfg.Lookahead)
+	lookDist := max(m.cfg.MinLookahead, es.V*m.cfg.Lookahead)
 	if lookDist <= 0 {
 		lookDist = 20
 	}

@@ -63,6 +63,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MinDetection = c.DetectionRange },
 		func(c *Config) { c.Lookahead = -1 },
 		func(c *Config) { c.LatencySteps = -1 },
+		func(c *Config) { c.DetectionRange = math.NaN() },
+		func(c *Config) { c.MinDetection = math.NaN() },
+		func(c *Config) { c.Lookahead = math.NaN() },
+		func(c *Config) { c.MinLookahead = -1 },
+		func(c *Config) { c.MinLookahead = math.NaN() },
+		func(c *Config) { c.MinLookahead = math.Inf(1) },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

@@ -75,13 +75,13 @@ func New(cfg Config) (*Road, error) {
 	if cfg.LaneWidth == 0 {
 		cfg.LaneWidth = DefaultLaneWidth
 	}
-	if cfg.LaneWidth <= 0 {
+	if !(cfg.LaneWidth > 0) {
 		return nil, fmt.Errorf("road: LaneWidth %v must be positive", cfg.LaneWidth)
 	}
 	if cfg.Friction == 0 {
 		cfg.Friction = DefaultFriction
 	}
-	if cfg.Friction <= 0 || cfg.Friction > 2 {
+	if !(cfg.Friction > 0 && cfg.Friction <= 2) { // NaN fails too
 		return nil, fmt.Errorf("road: Friction %v out of plausible range (0,2]", cfg.Friction)
 	}
 	for i, p := range cfg.Patches {

@@ -49,6 +49,8 @@ func TestNewValidation(t *testing.T) {
 		{"bad lane width", Config{Segments: base, LaneWidth: -1}},
 		{"bad friction", Config{Segments: base, Friction: -0.5}},
 		{"huge friction", Config{Segments: base, Friction: 3}},
+		{"NaN friction", Config{Segments: base, Friction: math.NaN()}},
+		{"NaN lane width", Config{Segments: base, LaneWidth: math.NaN()}},
 		{"bad patch order", Config{Segments: base, Patches: []PatchZone{{StartS: 10, EndS: 5}}}},
 		{"bad patch lane", Config{Segments: base, Patches: []PatchZone{{StartS: 1, EndS: 2, Lane: 9}}}},
 	}

@@ -38,17 +38,18 @@ func DefaultParams() Params {
 }
 
 // Validate reports whether the parameters are physically plausible.
+// Every bound is written so that NaN fails it.
 func (p Params) Validate() error {
 	switch {
-	case p.Length <= 0 || p.Width <= 0 || p.Wheelbase <= 0:
+	case !(p.Length > 0 && p.Width > 0 && p.Wheelbase > 0):
 		return fmt.Errorf("vehicle: dimensions must be positive: %+v", p)
-	case p.Wheelbase >= p.Length:
+	case !(p.Wheelbase < p.Length):
 		return fmt.Errorf("vehicle: wheelbase %v must be shorter than length %v", p.Wheelbase, p.Length)
-	case p.MaxAccel <= 0 || p.MaxBrake <= 0:
+	case !(p.MaxAccel > 0 && p.MaxBrake > 0):
 		return fmt.Errorf("vehicle: accel/brake authority must be positive")
-	case p.MaxSteer <= 0 || p.MaxSteer > math.Pi/2:
+	case !(p.MaxSteer > 0 && p.MaxSteer <= math.Pi/2):
 		return fmt.Errorf("vehicle: MaxSteer %v out of range", p.MaxSteer)
-	case p.ActuatorTau < 0:
+	case !(p.ActuatorTau >= 0):
 		return fmt.Errorf("vehicle: ActuatorTau must be non-negative")
 	}
 	return nil

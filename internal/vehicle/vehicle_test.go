@@ -26,6 +26,11 @@ func TestParamsValidate(t *testing.T) {
 		{"bad steer", func(p *Params) { p.MaxSteer = 0 }},
 		{"huge steer", func(p *Params) { p.MaxSteer = math.Pi }},
 		{"negative tau", func(p *Params) { p.ActuatorTau = -1 }},
+		{"NaN length", func(p *Params) { p.Length = math.NaN() }},
+		{"NaN wheelbase", func(p *Params) { p.Wheelbase = math.NaN() }},
+		{"NaN brake", func(p *Params) { p.MaxBrake = math.NaN() }},
+		{"NaN steer", func(p *Params) { p.MaxSteer = math.NaN() }},
+		{"NaN tau", func(p *Params) { p.ActuatorTau = math.NaN() }},
 	}
 	for _, tt := range tests {
 		p := DefaultParams()
