@@ -70,7 +70,6 @@ func run() error {
 		cacheEntries = flag.Int("cache-entries", 4096, "in-memory result cache entries")
 		cacheDir     = flag.String("cache-dir", "", "optional on-disk result store directory")
 		cacheMax     = flag.Int64("cache-max-bytes", 0, "on-disk result store byte budget; coldest segments GC'd past it (0 = unbounded)")
-		cacheSegment = flag.Int64("cache-segment-bytes", 0, "cache segment file size before rotation (0 = default 16 MiB)")
 		ageAfter     = flag.Int("age-after", 0, "promote waiting bulk work after this many interactive overtakes (0 = default 4)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "max time to finish tasks on shutdown")
 		journalDir   = flag.String("journal-dir", "", "optional write-ahead task journal directory (enables restart recovery)")
@@ -94,20 +93,19 @@ func run() error {
 	}
 
 	d, err := service.NewDispatcher(service.Config{
-		Workers:           *workers,
-		QueueSize:         *queueSize,
-		CacheEntries:      *cacheEntries,
-		CacheDir:          *cacheDir,
-		CacheMaxBytes:     *cacheMax,
-		CacheSegmentBytes: *cacheSegment,
-		AgeAfter:          *ageAfter,
-		JournalDir:        *journalDir,
-		RunRetries:        *runRetries,
-		LeaseTTL:          *leaseTTL,
-		WorkerBatch:       *workerBatch,
-		SubmitRate:        *submitRate,
-		SubmitBurst:       *submitBurst,
-		Logger:            logger,
+		Workers:       *workers,
+		QueueSize:     *queueSize,
+		CacheEntries:  *cacheEntries,
+		CacheDir:      *cacheDir,
+		CacheMaxBytes: *cacheMax,
+		AgeAfter:      *ageAfter,
+		JournalDir:    *journalDir,
+		RunRetries:    *runRetries,
+		LeaseTTL:      *leaseTTL,
+		WorkerBatch:   *workerBatch,
+		SubmitRate:    *submitRate,
+		SubmitBurst:   *submitBurst,
+		Logger:        logger,
 	})
 	if err != nil {
 		return err

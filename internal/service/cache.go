@@ -86,17 +86,10 @@ type cacheEntry struct {
 
 // NewResultCache builds a cache holding up to maxEntries outcomes in
 // memory (minimum 1). dir, when non-empty, enables the on-disk segment
-// store and is created if missing. Counters record into a private
-// registry; the dispatcher builds its cache through newResultCache to
-// share its own and to set the disk byte budget.
-func NewResultCache(maxEntries int, dir string) (*ResultCache, error) {
-	return newResultCache(maxEntries, dir, 0, 0, nil)
-}
-
-// newResultCache is NewResultCache recording into reg (nil means a
-// private registry), with the segment store's byte budget (maxBytes,
-// 0 = unbounded) and segment size bound (segBytes, 0 = default).
-func newResultCache(maxEntries int, dir string, maxBytes, segBytes int64, reg *obs.Registry) (*ResultCache, error) {
+// store and is created if missing; maxBytes is the store's GC budget
+// (0 = unbounded). Counters record into reg, or into a private registry
+// when reg is nil.
+func NewResultCache(maxEntries int, dir string, maxBytes int64, reg *obs.Registry) (*ResultCache, error) {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
@@ -107,7 +100,7 @@ func newResultCache(maxEntries int, dir string, maxBytes, segBytes int64, reg *o
 		met:   newCacheMetrics(reg),
 	}
 	if dir != "" {
-		store, err := openSegStore(dir, segBytes, maxBytes, c.met)
+		store, err := openSegStore(dir, 0, maxBytes, c.met)
 		if err != nil {
 			return nil, err
 		}
@@ -117,8 +110,8 @@ func newResultCache(maxEntries int, dir string, maxBytes, segBytes int64, reg *o
 	return c, nil
 }
 
-// Close releases the disk tier: the compactor stops, the active segment
-// syncs, and the file handles close. Safe on a memory-only cache and
+// Close releases the disk tier: the active segment syncs and the file
+// handles close. Safe on a memory-only cache and
 // idempotent; the memory side keeps serving after Close.
 func (c *ResultCache) Close() {
 	if c.store != nil {

@@ -14,7 +14,7 @@ import (
 func key(i int) string { return fmt.Sprintf("%064d", i) }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c, err := NewResultCache(2, "")
+	c, err := NewResultCache(2, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheCounters(t *testing.T) {
-	c, err := NewResultCache(8, "")
+	c, err := NewResultCache(8, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCacheCounters(t *testing.T) {
 
 func TestCacheDiskStore(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(8, dir)
+	c, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCacheDiskStore(t *testing.T) {
 
 	// A second cache over the same dir simulates a restart: the entry
 	// must come back from disk, byte-faithful including the Inf minima.
-	c2, err := NewResultCache(8, dir)
+	c2, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCacheDiskStore(t *testing.T) {
 
 func TestCacheEvictionKeepsDiskCopy(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(1, dir)
+	c, err := NewResultCache(1, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCacheEvictionKeepsDiskCopy(t *testing.T) {
 // miss, and a clean rewrite of the same key lands and survives a reopen.
 func TestCacheSegmentDecodeRejected(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(8, dir)
+	c, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCacheSegmentDecodeRejected(t *testing.T) {
 	// a reopened cache serves it.
 	c.Put(key(1), metrics.Outcome{Steps: 2})
 	c.Close()
-	c2, err := NewResultCache(8, dir)
+	c2, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestCacheSegmentDecodeRejected(t *testing.T) {
 // disk_errors.write.
 func TestCacheUnwritableDir(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(8, dir)
+	c, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestCacheUnwritableDir(t *testing.T) {
 	}
 	// And the failure is invisible to a fresh cache: no disk entry, no
 	// phantom error counts.
-	c2, err := NewResultCache(8, dir)
+	c2, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCacheUnwritableDir(t *testing.T) {
 // the record so the next lookup is a plain miss.
 func TestCacheReadError(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(8, dir)
+	c, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestCacheReadError(t *testing.T) {
 
 	// A fresh cache indexes the intact segment; then the file shrinks
 	// behind its back, so the indexed payload read fails.
-	c2, err := NewResultCache(8, dir)
+	c2, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCacheReadError(t *testing.T) {
 // disk — so result serves can io.Copy them without re-marshaling.
 func TestCacheEncodedServesCanonicalBytes(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(8, dir)
+	c, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestCacheEncodedServesCanonicalBytes(t *testing.T) {
 	}
 	// From disk, through a fresh cache: the stored file IS the
 	// canonical encoding, returned as read.
-	c2, err := NewResultCache(8, dir)
+	c2, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestCacheEncodedServesCanonicalBytes(t *testing.T) {
 // write happened.
 func TestCachePutResidentSkipsWrite(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(8, dir)
+	c, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestCachePutResidentSkipsWrite(t *testing.T) {
 // two characters never touch the disk store but still work in memory.
 func TestCacheShortKey(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(8, dir)
+	c, err := NewResultCache(8, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func TestChaosCacheNeutrality(t *testing.T) {
 	}
 
 	pool := experiments.NewPool(2)
-	cache, err := NewResultCache(64, "")
+	cache, err := NewResultCache(64, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

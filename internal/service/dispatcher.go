@@ -62,10 +62,6 @@ type Config struct {
 	// past the budget the coldest sealed segments are GC'd whole. Zero
 	// means unbounded.
 	CacheMaxBytes int64
-	// CacheSegmentBytes bounds one cache segment file before rotation.
-	// Zero means the store default (16 MiB); tests shrink it to force
-	// rotation, compaction, and GC at tiny scale.
-	CacheSegmentBytes int64
 	// MaxJobRecords bounds how many finished standard-retention task
 	// records (jobs and explorations — runs/probes plus counters) are
 	// retained for status/results queries. The oldest finished records
@@ -242,7 +238,7 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) { return newDispatcher(cfg, 
 // the chaos tests.
 func newDispatcher(cfg Config, run func(*experiments.Runner, core.Options) (*core.Result, error)) (*Dispatcher, error) {
 	cfg = cfg.normalized()
-	cache, err := newResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.CacheMaxBytes, cfg.CacheSegmentBytes, cfg.Metrics)
+	cache, err := NewResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.CacheMaxBytes, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}

@@ -254,8 +254,8 @@ func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
 		segments:     reg.Gauge("adasim_cache_segments", "Segment files in the disk result store (active included)."),
 		indexEntries: reg.Gauge("adasim_cache_index_entries", "Keys resolvable in the segment-store index."),
 		segLiveBytes: reg.Gauge("adasim_cache_segment_live_bytes", "Segment-store bytes the index still points at."),
-		segDeadBytes: reg.Gauge("adasim_cache_segment_dead_bytes", "Segment-store bytes awaiting compaction (superseded or corrupt records)."),
-		compactions:  reg.Counter("adasim_cache_compactions_total", "Dead-heavy cache segments rewritten and deleted by the compactor."),
+		segDeadBytes: reg.Gauge("adasim_cache_segment_dead_bytes", "Segment-store bytes the index no longer points at (superseded or corrupt records)."),
+		compactions:  reg.Counter("adasim_cache_compactions_total", "Sealed cache segments deleted once no record in them was live."),
 		gcSegments:   reg.Counter("adasim_cache_gc_segments_total", "Cold cache segments dropped to stay under the byte budget."),
 		gcBytes:      reg.Counter("adasim_cache_gc_bytes_total", "Bytes reclaimed by cache-segment GC."),
 		corrupt:      reg.Counter("adasim_cache_corrupt_records_total", "Cache-segment records dropped: torn tails truncated at boot and CRC mismatches on read."),

@@ -102,7 +102,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedCache, err := NewResultCache(len(plan), cacheDir)
+	seedCache, err := NewResultCache(len(plan), cacheDir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 // run in milliseconds.
 func testHub(t *testing.T, ttl time.Duration, batch int) *workerHub {
 	t.Helper()
-	cache, err := NewResultCache(256, "")
+	cache, err := NewResultCache(256, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

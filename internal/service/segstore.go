@@ -21,11 +21,12 @@
 //     index build stays a header walk): a failing record is dropped
 //     from the index and counted once, so retries are plain misses;
 //
-//   - records are immutable under their content-hash keys, so dead
-//     bytes only arise from dropped corrupt records and boot-scan
-//     duplicates (interrupted-compaction overlap). A background
-//     compactor rewrites the live records out of any sealed segment
-//     that is mostly dead and deletes it;
+//   - records are immutable under their content-hash keys and an append
+//     of an indexed key is a no-op, so dead bytes only arise from
+//     records dropped as corrupt or undecodable, and from duplicates a
+//     boot scan finds in older directories (last copy wins). A sealed
+//     segment left with no live record is deleted at once; a partly
+//     dead one stays until GC drops it whole;
 //
 //   - with a byte budget (-cache-max-bytes) the store GCs itself: the
 //     coldest sealed segments (least recently read) are dropped whole,
@@ -51,6 +52,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"adasim/internal/obs"
 )
 
 const (
@@ -91,18 +94,6 @@ const (
 	// segRecordOverhead is the per-record framing: recLen + keyLen +
 	// crc32c words.
 	segRecordOverhead = 12
-
-	// compactDeadFraction is the compaction trigger: a sealed segment
-	// more than half dead gets its live records rewritten out.
-	compactDeadFraction = 0.5
-
-	// compactBatchBytes bounds how many live bytes one compaction lock
-	// hold may move. Compaction of a 16 MiB segment under a single write
-	// lock would stall every disk-tier read and append for the whole
-	// rewrite — the exact latency spike the segment store exists to
-	// remove — so the compactor works in slices this big and yields the
-	// lock between them.
-	compactBatchBytes = 1 << 20
 )
 
 var crcCastagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -116,14 +107,14 @@ type SegmentStoreStats struct {
 	// on disk.
 	IndexEntries int `json:"index_entries"`
 	// LiveBytes and DeadBytes partition the on-disk bytes into records
-	// the index still points at and superseded/corrupt residue awaiting
-	// compaction.
+	// the index still points at and superseded/corrupt residue, which
+	// stays until its segment is reclaimed or GC'd.
 	LiveBytes int64 `json:"live_bytes"`
 	DeadBytes int64 `json:"dead_bytes"`
 	// MaxBytes is the configured GC budget; zero means unbounded.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
-	// Compactions counts sealed segments rewritten and deleted by the
-	// compactor.
+	// Compactions counts sealed segments deleted because no index entry
+	// pointed into them any more.
 	Compactions int64 `json:"compactions"`
 	// GCSegments and GCBytes count whole cold segments (and their bytes)
 	// dropped to stay under MaxBytes.
@@ -152,28 +143,19 @@ type cacheSegment struct {
 	live int64 // bytes of records the index still points at
 	// keys and refs list every record in file order (superseded copies
 	// included) — the in-memory image of the index sidecar, and what
-	// removeSegmentLocked/compaction walk to find the records here.
+	// removeSegmentLocked walks to find the records here.
 	keys   []string
 	refs   []segRef
 	sealed bool
-
-	// compactAt is the compactor's resume cursor into keys: records
-	// before it have already been moved out (or found dead). It lets
-	// compaction proceed in bounded slices — releasing the store lock
-	// between them so reads and appends never stall behind a whole-
-	// segment rewrite — and pick up where it left off on the next hold.
-	compactAt int
 
 	// lastRead is the store's logical read clock at this segment's most
 	// recent read — the GC coldness order.
 	lastRead atomic.Int64
 }
 
-func (g *cacheSegment) dead() int64 { return g.size - g.live }
-
 // segStore is the log-structured segment store. Reads resolve the index
-// and pread the payload under the read lock; appends, compaction, and
-// GC serialize under the write lock. It lives entirely outside the
+// and pread the payload under the read lock; appends, drops, and GC
+// serialize under the write lock. It lives entirely outside the
 // ResultCache's LRU mutex, so a slow disk cannot stall memory hits.
 type segStore struct {
 	mu       sync.RWMutex
@@ -189,18 +171,15 @@ type segStore struct {
 
 	clock atomic.Int64 // logical read clock feeding segment coldness
 
-	kick   chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
 	closed bool
 
 	scratch []byte // append record assembly buffer, guarded by mu
 }
 
-// openSegStore opens (creating if needed) the segment store at dir,
-// rebuilds the index with one sequential header scan per segment, and
-// starts the background compactor. segMax <= 0 means the default
-// segment bound; maxBytes <= 0 means no GC budget.
+// openSegStore opens (creating if needed) the segment store at dir and
+// rebuilds the index with one sequential header scan per segment.
+// segMax <= 0 means the default segment bound; maxBytes <= 0 means no
+// GC budget.
 func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segStore, error) {
 	if segMax <= 0 {
 		segMax = defaultCacheSegmentBytes
@@ -214,9 +193,6 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 		maxBytes: maxBytes,
 		met:      met,
 		segs:     make(map[int]*cacheSegment),
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	names, err := cacheSegmentNames(dir)
 	if err != nil {
@@ -315,7 +291,6 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 	}
 	s.gcLocked()
 	s.publishGaugesLocked()
-	go s.compactor()
 	return s, nil
 }
 
@@ -573,35 +548,31 @@ func (s *segStore) read(key string) ([]byte, bool) {
 	ref.seg.lastRead.Store(s.clock.Add(1))
 	s.mu.RUnlock()
 	if err != nil {
-		s.met.errRead.Inc()
-		s.drop(key, ref)
+		s.drop(key, ref, s.met.errRead)
 		return nil, false
 	}
 	if crc32.Checksum(buf[4:], crcCastagnoli) != binary.LittleEndian.Uint32(buf[:4]) {
-		s.met.corrupt.Inc()
-		s.drop(key, ref)
+		s.drop(key, ref, s.met.corrupt)
 		return nil, false
 	}
 	return buf[4:], true
 }
 
 // drop removes key's index entry if it still points at ref, turning the
-// record into dead bytes and kicking the compactor when its segment
-// crosses the dead threshold. A no-op after close: a read that raced
-// shutdown must not mutate the index behind the released store.
-func (s *segStore) drop(key string, ref segRef) {
+// record into dead bytes, and counts the fault in c. Only the reader
+// that removes the entry counts, so readers racing on one bad record
+// count it once. A no-op after close: a read that raced shutdown must
+// not mutate the index behind the released store.
+func (s *segStore) drop(key string, ref segRef, c *obs.Counter) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	if cur, ok := s.index[key]; ok && cur == ref {
-		delete(s.index, key)
-		ref.seg.live -= segRecordTotal(key, int(ref.plen))
-		s.publishGaugesLocked()
-		s.maybeKickLocked(ref.seg)
+		c.Inc()
+		s.unindexLocked(key, ref)
 	}
-	s.mu.Unlock()
 }
 
 // deleteKey removes key's index entry regardless of which record it
@@ -610,17 +581,33 @@ func (s *segStore) drop(key string, ref segRef) {
 // after close, like drop.
 func (s *segStore) deleteKey(key string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	if ref, ok := s.index[key]; ok {
-		delete(s.index, key)
-		ref.seg.live -= segRecordTotal(key, int(ref.plen))
-		s.publishGaugesLocked()
-		s.maybeKickLocked(ref.seg)
+		s.unindexLocked(key, ref)
 	}
-	s.mu.Unlock()
+}
+
+// unindexLocked deletes key's index entry, which points at ref. A sealed
+// segment left with no live record is deleted at once: nothing can read
+// it again, and appends only go to the active segment. s.mu must be
+// held.
+func (s *segStore) unindexLocked(key string, ref segRef) {
+	delete(s.index, key)
+	ref.seg.live -= segRecordTotal(key, int(ref.plen))
+	s.reclaimLocked(ref.seg)
+	s.publishGaugesLocked()
+}
+
+// reclaimLocked deletes seg if it is sealed and holds no live record,
+// counting it as a compaction. s.mu must be held.
+func (s *segStore) reclaimLocked(seg *cacheSegment) {
+	if seg.sealed && seg.live == 0 {
+		s.removeSegmentLocked(seg)
+		s.met.compactions.Inc()
+	}
 }
 
 // append stores payload under key. Keys are content hashes, so a key
@@ -638,25 +625,10 @@ func (s *segStore) append(key string, payload []byte) {
 	if _, ok := s.index[key]; ok {
 		return
 	}
-	ref, ok := s.writeRecordLocked(key, payload)
-	if !ok {
-		return
-	}
-	s.index[key] = ref
-	s.gcLocked()
-	s.publishGaugesLocked()
-}
-
-// writeRecordLocked appends one record to the active segment, rotating
-// first when it would overflow the segment bound. It updates segment
-// accounting but not the index — append and compaction both build on
-// it. s.mu must be held.
-func (s *segStore) writeRecordLocked(key string, payload []byte) (segRef, bool) {
+	// Rotate first when the record would overflow the segment bound.
 	total := segRecordTotal(key, len(payload))
-	if s.active.size > 0 && s.active.size+total > s.segMax {
-		if !s.rotateLocked() {
-			return segRef{}, false
-		}
+	if s.active.size > 0 && s.active.size+total > s.segMax && !s.rotateLocked() {
+		return
 	}
 	if cap(s.scratch) < int(total) {
 		s.scratch = make([]byte, 0, int(total))
@@ -672,7 +644,7 @@ func (s *segStore) writeRecordLocked(key string, payload []byte) (segRef, bool) 
 		// A partial tail write is overwritten by the next append (size
 		// did not advance) or truncated by the next boot scan.
 		s.met.errWrite.Inc()
-		return segRef{}, false
+		return
 	}
 	ref := segRef{seg: s.active, off: s.active.size + 8 + int64(len(key)), plen: int32(len(payload))}
 	s.active.size += total
@@ -680,12 +652,15 @@ func (s *segStore) writeRecordLocked(key string, payload []byte) (segRef, bool) 
 	s.active.keys = append(s.active.keys, key)
 	s.active.refs = append(s.active.refs, ref)
 	s.bytes += total
-	return ref, true
+	s.index[key] = ref
+	s.gcLocked()
+	s.publishGaugesLocked()
 }
 
 // rotateLocked seals the active segment (fsync — the store's only
 // durability point), writes its index sidecar, and opens the next one.
-// s.mu must be held.
+// A sealed segment with no live record left is deleted at once. s.mu
+// must be held.
 func (s *segStore) rotateLocked() bool {
 	if err := s.active.f.Sync(); err != nil {
 		s.met.errWrite.Inc()
@@ -695,11 +670,12 @@ func (s *segStore) rotateLocked() bool {
 		s.met.errWrite.Inc()
 		return false // keep appending to the oversized active segment
 	}
-	s.active.sealed = true
-	s.writeSidecar(s.active)
-	s.maybeKickLocked(s.active)
+	sealed := s.active
+	sealed.sealed = true
+	s.writeSidecar(sealed)
 	s.segs[seg.seq] = seg
 	s.active = seg
+	s.reclaimLocked(sealed)
 	return true
 }
 
@@ -747,127 +723,6 @@ func (s *segStore) removeSegmentLocked(seg *cacheSegment) {
 	s.publishGaugesLocked()
 }
 
-// maybeKickLocked nudges the compactor when a sealed segment has gone
-// mostly dead. Non-blocking: a pending kick is enough.
-func (s *segStore) maybeKickLocked(seg *cacheSegment) {
-	if !seg.sealed || seg.size == 0 {
-		return
-	}
-	if float64(seg.dead())/float64(seg.size) <= compactDeadFraction {
-		return
-	}
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
-// compactor is the background compaction loop: each kick rewrites every
-// dead-heavy sealed segment until none remain.
-func (s *segStore) compactor() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.kick:
-			s.compactNow()
-		}
-	}
-}
-
-// compactNow rewrites the live records out of every sealed segment past
-// the dead threshold and deletes it. Tests call it directly; production
-// reaches it through the compactor goroutine. The write lock is taken
-// per bounded slice (compactBatchBytes), never for a whole multi-
-// segment — or even whole-segment — rewrite, so concurrent reads and
-// appends interleave with compaction instead of stalling behind it.
-func (s *segStore) compactNow() {
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		var victim *cacheSegment
-		for _, seg := range s.segs {
-			// A partially-compacted segment (cursor advanced) only ever
-			// gets deader, so it re-selects until done; the cursor check
-			// is belt and braces against float edge cases at the
-			// threshold.
-			if seg.sealed && seg.size > 0 &&
-				(seg.compactAt > 0 ||
-					float64(seg.dead())/float64(seg.size) > compactDeadFraction) {
-				victim = seg
-				break
-			}
-		}
-		if victim == nil {
-			s.mu.Unlock()
-			return
-		}
-		ok := s.compactSliceLocked(victim)
-		s.mu.Unlock()
-		if !ok {
-			// The destination write failed; leave the remaining records
-			// where they are and abandon this round rather than losing
-			// data. The cursor keeps its place for the next kick.
-			return
-		}
-	}
-}
-
-// compactSliceLocked moves up to compactBatchBytes of seg's live
-// records into the active segment, resuming at seg.compactAt; once the
-// cursor clears the key list the emptied segment is deleted. A record
-// that fails its CRC during the move is dropped and counted, like any
-// other corrupt read. Returns false when the destination write failed
-// (caller abandons the round). s.mu must be held.
-func (s *segStore) compactSliceLocked(seg *cacheSegment) bool {
-	var moved int64
-	for seg.compactAt < len(seg.keys) && moved < compactBatchBytes {
-		key := seg.keys[seg.compactAt]
-		ref, ok := s.index[key]
-		if !ok || ref.seg != seg {
-			seg.compactAt++
-			continue
-		}
-		total := segRecordTotal(key, int(ref.plen))
-		buf := make([]byte, 4+int(ref.plen))
-		if _, err := seg.f.ReadAt(buf, ref.off); err != nil {
-			s.met.errRead.Inc()
-			delete(s.index, key)
-			seg.live -= total
-			seg.compactAt++
-			continue
-		}
-		if crc32.Checksum(buf[4:], crcCastagnoli) != binary.LittleEndian.Uint32(buf[:4]) {
-			s.met.corrupt.Inc()
-			delete(s.index, key)
-			seg.live -= total
-			seg.compactAt++
-			continue
-		}
-		dst, ok := s.writeRecordLocked(key, buf[4:])
-		if !ok {
-			return false
-		}
-		s.index[key] = dst
-		// The old copy is dead the moment the index points at the new
-		// one; keeping seg.live truthful mid-compaction keeps the stats
-		// and gauges from double-counting the moved record.
-		seg.live -= total
-		seg.compactAt++
-		moved += total
-	}
-	if seg.compactAt >= len(seg.keys) {
-		s.removeSegmentLocked(seg)
-		s.met.compactions.Inc()
-	}
-	s.publishGaugesLocked()
-	return true
-}
-
 // stats snapshots the store under the read lock.
 func (s *segStore) stats() SegmentStoreStats {
 	s.mu.RLock()
@@ -883,7 +738,7 @@ func (s *segStore) stats() SegmentStoreStats {
 	}
 	for _, seg := range s.segs {
 		st.LiveBytes += seg.live
-		st.DeadBytes += seg.dead()
+		st.DeadBytes += seg.size - seg.live
 	}
 	return st
 }
@@ -902,25 +757,21 @@ func (s *segStore) publishGaugesLocked() {
 	s.met.segDeadBytes.Set(s.bytes - live)
 }
 
-// close stops the compactor, syncs the active segment, writes its
-// sidecar (so a clean shutdown makes the next boot sidecar-only), and
-// releases the file handles. Idempotent.
+// close syncs the active segment, writes its sidecar (so a clean
+// shutdown makes the next boot sidecar-only), and releases the file
+// handles. A failed sync counts as a write error, as on rotation.
+// Idempotent.
 func (s *segStore) close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	s.mu.Unlock()
-	close(s.stop)
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active != nil {
-		s.active.f.Sync()
-		s.writeSidecar(s.active)
+	if err := s.active.f.Sync(); err != nil {
+		s.met.errWrite.Inc()
 	}
+	s.writeSidecar(s.active)
 	for _, seg := range s.segs {
 		seg.f.Close()
 	}

@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -122,49 +124,137 @@ func TestSegStoreCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestSegStoreCompaction pins the dead-space reclaim: once a sealed
-// segment is mostly dead, compaction rewrites its live records into the
-// active segment and deletes the file, and the moved records still
-// read back.
+// segPayload is a ~27 B test payload: with a 64 B key and 12 B of
+// framing a record is ~103 B, so a 400 B segment seals after three.
+func segPayload(i int) []byte { return []byte(fmt.Sprintf(`{"v":%d,"pad":"0123456789"}`, i)) }
+
+// TestSegStoreCompaction pins the reclaim rule: a sealed segment whose
+// records are partly dead stays, its residue counted as dead bytes; the
+// moment its last live record is dropped, its segment file and sidecar
+// are deleted, records elsewhere still read, and a reboot resurrects
+// none of the dropped keys.
 func TestSegStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	payload := func(i int) []byte { return []byte(fmt.Sprintf(`{"v":%d,"pad":"0123456789"}`, i)) }
-	// ~104 B per record (12 framing + 64 key + ~28 payload): three per
-	// 400 B segment before rotation.
 	s := openTestStore(t, dir, 400, 0)
-	for i := 0; i < 6; i++ {
-		s.append(key(i), payload(i))
+	for i := 0; i < 7; i++ { // segments {0,1,2} {3,4,5} sealed, {6} active
+		s.append(key(i), segPayload(i))
 	}
-	before := s.stats()
-	if before.Segments < 2 {
-		t.Fatalf("segments = %d, want rotation to have sealed at least one", before.Segments)
+	if st := s.stats(); st.Segments != 3 {
+		t.Fatalf("segments = %d, want 3", st.Segments)
 	}
-	// Kill two of the first sealed segment's three records: > half dead.
+	seg1 := filepath.Join(dir, "cache-00000001.seg")
+	idx1 := filepath.Join(dir, "cache-00000001.idx")
+
 	s.deleteKey(key(0))
-	s.deleteKey(key(2))
-	s.compactNow()
+	s.deleteKey(key(1))
 	st := s.stats()
-	if st.Compactions < 1 {
-		t.Fatalf("compactions = %d, want >= 1", st.Compactions)
+	if st.Compactions != 0 || st.Segments != 3 || st.DeadBytes == 0 {
+		t.Fatalf("two of three dead: %+v, want the segment kept with dead bytes", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "cache-00000001.seg")); !os.IsNotExist(err) {
-		t.Fatalf("compacted segment file not deleted: %v", err)
+	if _, err := os.Stat(seg1); err != nil {
+		t.Fatalf("partly dead segment deleted: %v", err)
 	}
-	if st.DeadBytes != 0 {
-		t.Fatalf("dead bytes = %d, want 0 after compaction", st.DeadBytes)
+
+	s.deleteKey(key(2))
+	st = s.stats()
+	if st.Compactions != 1 || st.Segments != 2 || st.DeadBytes != 0 {
+		t.Fatalf("all three dead: %+v, want 1 compaction, 2 segments, 0 dead bytes", st)
 	}
-	// The survivor moved but still reads; the deleted keys stay gone.
-	if got, ok := s.read(key(1)); !ok || !bytes.Equal(got, payload(1)) {
-		t.Fatalf("moved record = %q %v, want %q", got, ok, payload(1))
+	for _, path := range []string{seg1, idx1} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s not deleted with its dead segment: %v", path, err)
+		}
 	}
-	if _, ok := s.read(key(0)); ok {
-		t.Fatal("deleted key resurrected by compaction")
+	for i := 3; i < 7; i++ {
+		if got, ok := s.read(key(i)); !ok || !bytes.Equal(got, segPayload(i)) {
+			t.Fatalf("record %d in a live segment = %q %v", i, got, ok)
+		}
 	}
-	// And the rewritten layout survives a reboot.
+
 	s.close()
 	s2 := openTestStore(t, dir, 400, 0)
-	if got, ok := s2.read(key(1)); !ok || !bytes.Equal(got, payload(1)) {
-		t.Fatalf("moved record after reboot = %q %v", got, ok)
+	for i := 0; i < 3; i++ {
+		if _, ok := s2.read(key(i)); ok {
+			t.Fatalf("key %d of the reclaimed segment resurrected by a reboot", i)
+		}
+	}
+	if got, ok := s2.read(key(6)); !ok || !bytes.Equal(got, segPayload(6)) {
+		t.Fatalf("active record after reboot = %q %v", got, ok)
+	}
+}
+
+// TestSegStoreConcurrentCorruptReads pins the reclaim rule under racing
+// readers: with every payload of a sealed segment corrupt on disk,
+// goroutines reading all its keys at once count each record once,
+// delete the segment exactly once, and never read a closed file.
+func TestSegStoreConcurrentCorruptReads(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, 400, 0)
+	for i := 0; i < 4; i++ { // segment {0,1,2} sealed, {3} active
+		s.append(key(i), segPayload(i))
+	}
+	s.close()
+
+	// Flip the last payload byte of every record in the sealed segment.
+	path := filepath.Join(dir, "cache-00000001.seg")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for off := 0; off < len(b); records++ {
+		end := off + 4 + int(binary.LittleEndian.Uint32(b[off:]))
+		b[end-1] ^= 0xff
+		off = end
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTestStore(t, dir, 400, 0)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < records; i++ {
+				if got, ok := s2.read(key(i)); ok {
+					t.Errorf("corrupt record %d served: %q", i, got)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	st := s2.stats()
+	if st.Compactions != 1 || st.CorruptRecords != int64(records) || st.Segments != 1 {
+		t.Fatalf("after racing corrupt reads: %+v, want 1 compaction, %d corrupt records, 1 segment", st, records)
+	}
+	if got := s2.met.errRead.Value(); got != 0 {
+		t.Fatalf("read errors = %d, want 0", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("dead segment not deleted: %v", err)
+	}
+	if got, ok := s2.read(key(3)); !ok || !bytes.Equal(got, segPayload(3)) {
+		t.Fatalf("active record = %q %v", got, ok)
+	}
+}
+
+// TestSegStoreCloseSyncError pins that a failed fsync of the active
+// segment at close counts as a write error, as it does on rotation.
+func TestSegStoreCloseSyncError(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), 0, 0)
+	s.append(key(1), []byte(`{"n":1}`))
+	s.mu.Lock()
+	s.active.f.Close()
+	s.mu.Unlock()
+	s.close()
+	if got := s.met.errWrite.Value(); got != 1 {
+		t.Fatalf("write errors after a failed close-time sync = %d, want 1", got)
 	}
 }
 
