@@ -31,7 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/explore
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/report
-	$(GO) test -run '^$$' -fuzz FuzzSegmentStoreOpen -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzSegmentStoreOpen -fuzztime=$(FUZZTIME) ./internal/store
 
 # cover writes a coverage profile, prints the per-function summary tail
 # (the total), and enforces the ratchet gate: the total must not drop

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"adasim/internal/metrics"
-	"adasim/internal/service"
+	"adasim/internal/store"
 )
 
 // cacheBenchStores builds the two disk layouts BenchmarkDiskCacheStore
@@ -32,7 +32,7 @@ func cacheBenchStores(b *testing.B) (jsonDir, segDir string, keys []string, entr
 	}
 	jsonDir, segDir = b.TempDir(), b.TempDir()
 	keys = make([]string, entries)
-	c, err := service.NewResultCache(1, segDir, 0, nil) // maxEntries=1 keeps the LRU cold
+	c, err := store.NewResultCache(1, segDir, 0, nil) // maxEntries=1 keeps the LRU cold
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func BenchmarkDiskCacheStore(b *testing.B) {
 	jsonDir, segDir, keys, entries := cacheBenchStores(b)
 
 	b.Run("disk_hit", func(b *testing.B) {
-		c, err := service.NewResultCache(1, segDir, 0, nil)
+		c, err := store.NewResultCache(1, segDir, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkDiskCacheStore(b *testing.B) {
 				b.Fatalf("json walk found %d entries (%v), want %d", found, err, entries)
 			}
 			start = time.Now()
-			c, err := service.NewResultCache(1, segDir, 0, nil)
+			c, err := store.NewResultCache(1, segDir, 0, nil)
 			tSeg += time.Since(start)
 			if err != nil {
 				b.Fatal(err)

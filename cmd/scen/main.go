@@ -23,7 +23,7 @@ import (
 	"adasim/internal/experiments"
 	"adasim/internal/explore"
 	"adasim/internal/scengen"
-	"adasim/internal/service"
+	"adasim/internal/store"
 )
 
 func main() { cli.Main("scen", run) }
@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The offline path uses the same content-addressed cache type as the
 	// daemon, so a shared -cache-dir lets sweeps and the service trade
 	// results.
-	cache, err := service.NewResultCache(1<<16, *cacheDir, 0, nil)
+	cache, err := store.NewResultCache(1<<16, *cacheDir, 0, nil)
 	if err != nil {
 		return err
 	}

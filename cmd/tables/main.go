@@ -32,7 +32,7 @@ import (
 	"adasim/internal/experiments"
 	"adasim/internal/nn"
 	"adasim/internal/report"
-	"adasim/internal/service"
+	"adasim/internal/store"
 )
 
 func main() { cli.Main("tables", run) }
@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The offline path uses the same content-addressed cache type as the
 	// daemon, so a shared -cache-dir lets tables, sweeps, and the service
 	// trade results.
-	cache, err := service.NewResultCache(1<<16, *cacheDir, 0, nil)
+	cache, err := store.NewResultCache(1<<16, *cacheDir, 0, nil)
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ type Executor interface {
 }
 
 // Cache is a content-addressed per-run outcome store keyed by
-// RunFingerprint hashes. service.ResultCache implements it.
+// RunFingerprint hashes. store.ResultCache implements it.
 type Cache interface {
 	Get(key string) (metrics.Outcome, bool)
 	Put(key string, out metrics.Outcome)

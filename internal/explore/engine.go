@@ -23,7 +23,7 @@ import (
 type Executor = experiments.Executor
 
 // Cache is a content-addressed per-run outcome store keyed by
-// experiments.RunFingerprint hashes. service.ResultCache implements it.
+// experiments.RunFingerprint hashes. store.ResultCache implements it.
 type Cache = experiments.Cache
 
 // ProbeResult pairs one probe's requested parameters (sampled axes

@@ -11,6 +11,7 @@ import (
 
 	"adasim/internal/core"
 	"adasim/internal/experiments"
+	"adasim/internal/store"
 )
 
 // newChaosDispatcher is newTestDispatcher with a run-function override:
@@ -201,7 +202,7 @@ func TestChaosCacheNeutrality(t *testing.T) {
 	}
 
 	pool := experiments.NewPool(2)
-	cache, err := NewResultCache(64, "", 0, nil)
+	cache, err := store.NewResultCache(64, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"adasim/internal/experiments"
 	"adasim/internal/metrics"
 	"adasim/internal/obs"
+	"adasim/internal/store"
 )
 
 // Sentinel errors surfaced by the task runtime.
@@ -181,7 +182,7 @@ func (c Config) retentionCap(class RetentionClass) int {
 // independent of pool size and task interleaving.
 type Dispatcher struct {
 	cfg   Config
-	cache *ResultCache
+	cache *store.ResultCache
 	m     *dispatcherMetrics
 	log   *slog.Logger
 
@@ -238,7 +239,7 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) { return newDispatcher(cfg, 
 // the chaos tests.
 func newDispatcher(cfg Config, run func(*experiments.Runner, core.Options) (*core.Result, error)) (*Dispatcher, error) {
 	cfg = cfg.normalized()
-	cache, err := NewResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.CacheMaxBytes, cfg.Metrics)
+	cache, err := store.NewResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.CacheMaxBytes, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +401,7 @@ func (d *Dispatcher) JournalStats() (JournalStats, bool) {
 }
 
 // Cache exposes the result cache (read-mostly: stats, pre-warming).
-func (d *Dispatcher) Cache() *ResultCache { return d.cache }
+func (d *Dispatcher) Cache() *store.ResultCache { return d.cache }
 
 // Workers returns the run pool's parallelism.
 func (d *Dispatcher) Workers() int { return d.cfg.Workers }

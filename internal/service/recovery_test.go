@@ -12,6 +12,7 @@ import (
 	"adasim/internal/experiments"
 	"adasim/internal/explore"
 	"adasim/internal/report"
+	"adasim/internal/store"
 )
 
 // haltDispatcher simulates a crash: journal writes stop, in-flight work
@@ -102,7 +103,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedCache, err := NewResultCache(len(plan), cacheDir, 0, nil)
+	seedCache, err := store.NewResultCache(len(plan), cacheDir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

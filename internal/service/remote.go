@@ -42,6 +42,7 @@ import (
 
 	"adasim/internal/experiments"
 	"adasim/internal/metrics"
+	"adasim/internal/store"
 )
 
 // Remote-execution sentinel errors.
@@ -115,7 +116,7 @@ type remoteCall struct {
 // pending batches (FIFO), and granted leases, plus the janitor that
 // expires them.
 type workerHub struct {
-	cache     *ResultCache
+	cache     *store.ResultCache
 	m         *workerMetrics
 	log       *slog.Logger
 	ttl       time.Duration
@@ -135,7 +136,7 @@ type workerHub struct {
 	janitorDone chan struct{}
 }
 
-func newWorkerHub(cache *ResultCache, m *workerMetrics, log *slog.Logger, ttl time.Duration, batchSize int) *workerHub {
+func newWorkerHub(cache *store.ResultCache, m *workerMetrics, log *slog.Logger, ttl time.Duration, batchSize int) *workerHub {
 	h := &workerHub{
 		cache:       cache,
 		m:           m,

@@ -22,13 +22,14 @@ import (
 	"adasim/internal/metrics"
 	"adasim/internal/obs"
 	"adasim/internal/scenario"
+	"adasim/internal/store"
 )
 
 // testHub builds a hub with a tiny TTL so janitor-driven failure paths
 // run in milliseconds.
 func testHub(t *testing.T, ttl time.Duration, batch int) *workerHub {
 	t.Helper()
-	cache, err := NewResultCache(256, "", 0, nil)
+	cache, err := store.NewResultCache(256, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

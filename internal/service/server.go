@@ -15,6 +15,7 @@ import (
 	"adasim/internal/metrics"
 	"adasim/internal/scenario"
 	"adasim/internal/scengen"
+	"adasim/internal/store"
 )
 
 // Server exposes the dispatcher over HTTP/JSON. The task routes are
@@ -196,7 +197,7 @@ type HealthResponse struct {
 	Jobs         map[Status]int            `json:"jobs"`
 	Explorations map[Status]int            `json:"explorations"`
 	Reports      map[Status]int            `json:"reports"`
-	Cache        CacheStats                `json:"cache"`
+	Cache        store.CacheStats          `json:"cache"`
 	// RemoteWorkers summarizes the attached worker fleet: connected
 	// workers, live leases, and the lease/re-queue counters.
 	RemoteWorkers WorkerFleetStats `json:"remote_workers"`

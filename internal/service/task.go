@@ -121,7 +121,7 @@ type PreparedTask struct {
 	Run func(env TaskEnv) (result any, stats TaskStats, err error)
 	// SoleRun, when the plan is exactly one run, names it: its RunKey
 	// and result-cache key. The results route uses it to stream the
-	// cache's canonical outcome bytes verbatim (see ResultCache.Encoded)
+	// cache's canonical outcome bytes verbatim (see store.ResultCache.Encoded)
 	// instead of re-marshaling the decoded outcome; kinds whose results
 	// are not a run list leave it nil.
 	SoleRun *SoleRunRef

@@ -1,4 +1,8 @@
-package service
+// Package store is the content-addressed result cache: an in-memory LRU
+// of per-run outcomes over an optional on-disk segment store that
+// survives restarts. The task service, the batch CLIs and the benchmarks
+// share it.
+package store
 
 import (
 	"container/list"

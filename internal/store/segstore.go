@@ -38,7 +38,7 @@
 // active segment is fsynced, and only on rotation and close — losing
 // the unsynced tail of the active segment in a crash costs re-execution
 // of those runs, nothing else.
-package service
+package store
 
 import (
 	"bufio"
@@ -185,7 +185,7 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 		segMax = defaultCacheSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: creating cache dir: %w", err)
+		return nil, fmt.Errorf("store: creating cache dir: %w", err)
 	}
 	s := &segStore{
 		dir:      dir,
@@ -213,7 +213,7 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 			for _, seg := range scan {
 				seg.f.Close()
 			}
-			return nil, fmt.Errorf("service: opening cache segment %s: %w", name, err)
+			return nil, fmt.Errorf("store: opening cache segment %s: %w", name, err)
 		}
 		info, err := f.Stat()
 		if err != nil {
@@ -221,7 +221,7 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 			for _, seg := range scan {
 				seg.f.Close()
 			}
-			return nil, fmt.Errorf("service: stat cache segment %s: %w", name, err)
+			return nil, fmt.Errorf("store: stat cache segment %s: %w", name, err)
 		}
 		scan = append(scan, &cacheSegment{seq: seq, f: f, size: info.Size()})
 		totalBytes += info.Size()
@@ -298,7 +298,7 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 func cacheSegmentNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("service: reading cache dir: %w", err)
+		return nil, fmt.Errorf("store: reading cache dir: %w", err)
 	}
 	var names []string
 	for _, e := range entries {
@@ -363,7 +363,7 @@ func (s *segStore) scanSegment(seg *cacheSegment) error {
 	if torn {
 		s.met.corrupt.Inc()
 		if err := seg.f.Truncate(off); err != nil {
-			return fmt.Errorf("service: truncating torn cache segment: %w", err)
+			return fmt.Errorf("store: truncating torn cache segment: %w", err)
 		}
 	}
 	seg.size = off
@@ -522,7 +522,7 @@ func (s *segStore) createSegment(seq int) (*cacheSegment, error) {
 	name := fmt.Sprintf(cacheSegPattern, seq)
 	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("service: creating cache segment %s: %w", name, err)
+		return nil, fmt.Errorf("store: creating cache segment %s: %w", name, err)
 	}
 	return &cacheSegment{seq: seq, f: f}, nil
 }
