@@ -1,9 +1,10 @@
 // Metric wiring for the task runtime. Every series the service exports
-// is registered here (and in newJournalMetrics, and store's cache metrics), at
-// dispatcher construction, with fixed label values — so the /metrics
-// series set is deterministic and label cardinality is bounded by the
-// registered kinds, priority classes, and status vocabulary, never by
-// runtime input (task IDs and spec hashes are not labels).
+// is registered here (and in newJournalMetrics, and by the result cache
+// in internal/store), at dispatcher construction, with fixed label
+// values — so the /metrics series set is deterministic and label
+// cardinality is bounded by the registered kinds, priority classes, and
+// status vocabulary, never by runtime input (task IDs and spec hashes
+// are not labels).
 //
 // The handles split into two groups:
 //

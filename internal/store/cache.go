@@ -115,8 +115,8 @@ func NewResultCache(maxEntries int, dir string, maxBytes int64, reg *obs.Registr
 }
 
 // Close releases the disk tier: the active segment syncs and the file
-// handles close. Safe on a memory-only cache and
-// idempotent; the memory side keeps serving after Close.
+// handles close. Safe on a memory-only cache and idempotent; the memory
+// side keeps serving after Close.
 func (c *ResultCache) Close() {
 	if c.store != nil {
 		c.store.close()
