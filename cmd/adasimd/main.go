@@ -134,6 +134,11 @@ func run() error {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
+	// Catch SIGTERM before the listener is up: a client that sees the
+	// daemon ready may signal it at once, and the default action would
+	// kill it without a drain.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr, "workers", d.Workers(),
@@ -144,8 +149,6 @@ func run() error {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err

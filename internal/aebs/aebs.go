@@ -113,7 +113,7 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.DriverDecel <= 0 || c.ReactTime < 0 {
+	if !(c.DriverDecel > 0) || !(c.ReactTime >= 0) {
 		return fmt.Errorf("aebs: DriverDecel/ReactTime invalid: %+v", c)
 	}
 	if !(c.PB1Div > 0 && c.PB2Div > c.PB1Div && c.FBDiv > c.PB2Div) {

@@ -25,6 +25,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PB1Div = 0 },
 		func(c *Config) { c.PB2Div = c.PB1Div },
 		func(c *Config) { c.FBDiv = c.PB2Div },
+		func(c *Config) { c.DriverDecel = math.NaN() },
+		func(c *Config) { c.ReactTime = math.NaN() },
+		func(c *Config) { c.PB1Div = math.NaN() },
+		func(c *Config) { c.PB2Div = math.NaN() },
+		func(c *Config) { c.FBDiv = math.NaN() },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

@@ -153,13 +153,13 @@ func DefaultConfig() Config {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.ReactionTime < 0:
+	case !(c.ReactionTime >= 0):
 		return fmt.Errorf("driver: ReactionTime must be non-negative")
-	case c.VehicleLength <= 0:
+	case !(c.VehicleLength > 0):
 		return fmt.Errorf("driver: VehicleLength must be positive")
-	case c.BrakeDecel <= 0 || c.BrakeJerk <= 0:
+	case !(c.BrakeDecel > 0) || !(c.BrakeJerk > 0):
 		return fmt.Errorf("driver: brake profile must be positive")
-	case c.LaneLineMargin < 0:
+	case !(c.LaneLineMargin >= 0):
 		return fmt.Errorf("driver: LaneLineMargin must be non-negative")
 	}
 	return nil

@@ -47,6 +47,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BrakeDecel = 0 },
 		func(c *Config) { c.BrakeJerk = 0 },
 		func(c *Config) { c.LaneLineMargin = -1 },
+		func(c *Config) { c.ReactionTime = math.NaN() },
+		func(c *Config) { c.VehicleLength = math.NaN() },
+		func(c *Config) { c.BrakeDecel = math.NaN() },
+		func(c *Config) { c.BrakeJerk = math.NaN() },
+		func(c *Config) { c.LaneLineMargin = math.NaN() },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

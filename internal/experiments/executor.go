@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adasim/internal/core"
@@ -102,13 +104,51 @@ type PoolOptions struct {
 // runs in flight at the pool's parallelism however many Execute calls
 // are concurrent; Execute is safe for concurrent use.
 //
+// When every Runner is busy, runs wait, and a freed Runner is handed
+// over by Claim rank. Callers without a Claim rank as interactive, so a
+// pool only they use is plain FIFO.
+//
 // A run that panics fails with ErrRunPanic and its Runner is replaced,
 // since the platform may have been left mid-step.
 type Pool struct {
-	idle  chan *Runner
-	mlHub *mlmit.Hub
-	opts  PoolOptions
+	mu      sync.Mutex
+	idle    []*Runner
+	waiters []waiter // runs waiting for a Runner, oldest first
+	mlHub   *mlmit.Hub
+	opts    PoolOptions
 }
+
+// waiter is one run waiting for a Runner; ch (buffered) receives it.
+type waiter struct {
+	claim *Claim
+	ch    chan *Runner
+}
+
+// Claim is a caller's standing when the pool hands a freed Runner to a
+// waiting run: lower ranks first — a promoted bulk claim (-1), then
+// interactive claims and the zero Claim (0), then bulk claims (1) — and
+// the oldest waiting run within a rank.
+type Claim struct {
+	rank    atomic.Int32
+	waiting atomic.Int32 // runs of this claim's batches not yet started
+}
+
+// NewClaim returns an interactive claim or, with bulk, a bulk one.
+func NewClaim(bulk bool) *Claim {
+	c := new(Claim)
+	if bulk {
+		c.rank.Store(1)
+	}
+	return c
+}
+
+// Promote puts a bulk claim's runs ahead of every other waiting run
+// from now on. It reports whether this call promoted the claim.
+func (c *Claim) Promote() bool { return c.rank.CompareAndSwap(1, -1) }
+
+// Waiting reports whether a batch under the claim has runs not yet
+// started: waiting for a Runner, or about to once theirs is busy.
+func (c *Claim) Waiting() bool { return c.waiting.Load() > 0 }
 
 // NewPool sizes a pool at parallelism Runners (GOMAXPROCS when <= 0)
 // with default options.
@@ -127,7 +167,7 @@ func NewPoolWith(parallelism int, opts PoolOptions) *Pool {
 		opts.Run = (*Runner).Do
 	}
 	p := &Pool{
-		idle:  make(chan *Runner, parallelism),
+		idle:  make([]*Runner, parallelism),
 		mlHub: mlmit.NewHub(parallelism, 0),
 		opts:  opts,
 	}
@@ -136,7 +176,7 @@ func NewPoolWith(parallelism int, opts PoolOptions) *Pool {
 	}
 	runners := make([]Runner, parallelism)
 	for i := range runners {
-		p.idle <- &runners[i]
+		p.idle[i] = &runners[i]
 	}
 	return p
 }
@@ -150,43 +190,52 @@ func NewPoolWith(parallelism int, opts PoolOptions) *Pool {
 // outcomes are still returned — len(reqs) of them, the successful runs
 // filled in — so callers can keep the work that did succeed.
 func (p *Pool) Execute(reqs []RunRequest, onDone func(i int, ro RunOutcome)) ([]RunOutcome, error) {
-	return p.execute(reqs, onDone, nil)
+	return p.execute(reqs, onDone, nil, nil)
 }
 
-// WithCancel returns an Executor running on p that calls check before
-// starting each run, once a Runner is free for it. Once check returns
-// an error, no further run starts, the runs in flight finish, and
-// Execute returns that error with the partial outcomes.
-func (p *Pool) WithCancel(check func() error) Executor {
-	return cancelablePool{p: p, check: check}
+// Bind returns an Executor running on p whose runs wait for Runners
+// under claim (nil: the zero Claim) and call check before starting,
+// once a Runner is free for them. Once check returns an error, no
+// further run starts, the runs in flight finish, and Execute returns
+// that error with the partial outcomes.
+func (p *Pool) Bind(claim *Claim, check func() error) Executor {
+	return boundPool{p: p, claim: claim, check: check}
 }
 
-type cancelablePool struct {
+type boundPool struct {
 	p     *Pool
+	claim *Claim
 	check func() error
 }
 
-func (cp cancelablePool) Execute(reqs []RunRequest, onDone func(i int, ro RunOutcome)) ([]RunOutcome, error) {
-	return cp.p.execute(reqs, onDone, cp.check)
+func (bp boundPool) Execute(reqs []RunRequest, onDone func(i int, ro RunOutcome)) ([]RunOutcome, error) {
+	return bp.p.execute(reqs, onDone, bp.claim, bp.check)
 }
 
-func (p *Pool) execute(reqs []RunRequest, onDone func(i int, ro RunOutcome), check func() error) ([]RunOutcome, error) {
+func (p *Pool) execute(reqs []RunRequest, onDone func(i int, ro RunOutcome), claim *Claim, check func() error) ([]RunOutcome, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
+	if claim == nil {
+		claim = new(Claim)
+	}
 	outs := make([]RunOutcome, len(reqs))
 	errs := make([]error, len(reqs))
+	handoff := make(chan *Runner, 1) // this loop waits for one Runner at a time
 	var stopped error
 	var wg sync.WaitGroup
+	claim.waiting.Add(int32(len(reqs)))
 	for i := range reqs {
-		r := <-p.idle
+		r := p.acquire(claim, handoff)
 		// Checked once a Runner is free, right before the run starts.
 		if check != nil {
 			if stopped = check(); stopped != nil {
-				p.idle <- r
+				p.release(r)
+				claim.waiting.Add(int32(i - len(reqs))) // the unstarted rest
 				break
 			}
 		}
+		claim.waiting.Add(-1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -194,7 +243,7 @@ func (p *Pool) execute(reqs []RunRequest, onDone func(i int, ro RunOutcome), che
 			if errs[i] == nil && onDone != nil {
 				onDone(i, outs[i])
 			}
-			p.idle <- r
+			p.release(r)
 		}()
 	}
 	wg.Wait()
@@ -207,6 +256,49 @@ func (p *Pool) execute(reqs []RunRequest, onDone func(i int, ro RunOutcome), che
 		}
 	}
 	return outs, nil
+}
+
+// acquire takes an idle Runner, or queues the run and waits for
+// release to hand it one.
+func (p *Pool) acquire(claim *Claim, handoff chan *Runner) *Runner {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		r := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return r
+	}
+	p.waiters = append(p.waiters, waiter{claim, handoff})
+	p.mu.Unlock()
+	return <-handoff
+}
+
+// Queued returns how many runs are waiting for a Runner.
+func (p *Pool) Queued() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.waiters)
+}
+
+// release hands r to the oldest waiting run of the best rank, or
+// returns it to the idle set when no run waits.
+func (p *Pool) release(r *Runner) {
+	p.mu.Lock()
+	if len(p.waiters) == 0 {
+		p.idle = append(p.idle, r)
+		p.mu.Unlock()
+		return
+	}
+	best := 0
+	for i, w := range p.waiters {
+		if w.claim.rank.Load() < p.waiters[best].claim.rank.Load() {
+			best = i
+		}
+	}
+	w := p.waiters[best]
+	p.waiters = slices.Delete(p.waiters, best, best+1)
+	p.mu.Unlock()
+	w.ch <- r
 }
 
 // run executes one request on r: ML hub injection, retries, and the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,7 +82,7 @@ func TestPoolConcurrentExecuteBoundsInFlight(t *testing.T) {
 // empty batch; it must return at once without allocating.
 func TestPoolEmptyBatchIsFree(t *testing.T) {
 	pool := NewPool(2)
-	stop := pool.WithCancel(func() error { return nil })
+	stop := pool.Bind(nil, func() error { return nil })
 	allocs := testing.AllocsPerRun(100, func() {
 		if outs, err := pool.Execute(nil, nil); len(outs) != 0 || err != nil {
 			t.Fatal(outs, err)
@@ -150,7 +151,7 @@ func TestPoolCancelStopsBetweenRuns(t *testing.T) {
 			return r.Do(opts)
 		},
 	})
-	exec := pool.WithCancel(func() error {
+	exec := pool.Bind(nil, func() error {
 		if started.Load() >= 2 {
 			return stopErr
 		}
@@ -172,5 +173,86 @@ func TestPoolCancelStopsBetweenRuns(t *testing.T) {
 	}
 	if outs[0].Key != reqs[0].Key || outs[2] != (RunOutcome{}) {
 		t.Error("partial outcomes not at their request indexes")
+	}
+}
+
+// handoffPool is a one-Runner pool whose runs report their seed as they
+// start and then hold the Runner until the test steps them, so a test
+// decides exactly which runs wait when the Runner is freed.
+func handoffPool() (pool *Pool, started chan int64, step chan struct{}) {
+	started, step = make(chan int64), make(chan struct{})
+	pool = NewPoolWith(1, PoolOptions{
+		Run: func(r *Runner, opts core.Options) (*core.Result, error) {
+			started <- opts.Seed
+			<-step
+			return r.Do(opts)
+		},
+	})
+	return pool, started, step
+}
+
+// awaitQueued waits until n runs wait for a Runner.
+func awaitQueued(t *testing.T, pool *Pool, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for pool.Queued() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d runs queued, want %d", pool.Queued(), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestPoolHandoffOrder pins the handoff rule: a freed Runner goes to the
+// oldest waiting run of the best rank — a promoted bulk claim, then
+// interactive claims and claimless callers in arrival order, then bulk
+// claims — and a claim reports unstarted runs as waiting.
+func TestPoolHandoffOrder(t *testing.T) {
+	pool, started, step := handoffPool()
+	bulk, late, inter := NewClaim(true), NewClaim(true), NewClaim(false)
+	var wg sync.WaitGroup
+	submit := func(claim *Claim, seed int64, queued int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pool.Bind(claim, nil).Execute(poolReqs(1, seed), nil); err != nil {
+				t.Error(err)
+			}
+		}()
+		awaitQueued(t, pool, queued)
+	}
+	// Seed 1 holds the Runner; then, in arrival order, a bulk run, an
+	// interactive run, a claimless run, and a second bulk run wait.
+	submit(nil, 1, 0)
+	if got := <-started; got != 1 {
+		t.Fatalf("first run seed %d, want 1", got)
+	}
+	submit(bulk, 10, 1)
+	submit(inter, 20, 2)
+	submit(nil, 30, 3)
+	submit(late, 40, 4)
+	if !bulk.Waiting() || !inter.Waiting() {
+		t.Error("claims with a queued run do not report waiting")
+	}
+	var order []int64
+	for i := 0; i < 4; i++ {
+		if i == 2 && !late.Promote() {
+			t.Fatal("first promotion of a bulk claim reported false")
+		}
+		step <- struct{}{}
+		order = append(order, <-started)
+	}
+	step <- struct{}{}
+	wg.Wait()
+	// After two interactive-rank handoffs the later bulk claim is
+	// promoted, so it overtakes the older, unpromoted one.
+	if want := []int64{20, 30, 40, 10}; !slices.Equal(order, want) {
+		t.Errorf("handoff order %v, want %v", order, want)
+	}
+	if bulk.Waiting() || late.Waiting() || inter.Waiting() {
+		t.Error("finished claims still report waiting")
+	}
+	if late.Promote() || inter.Promote() {
+		t.Error("Promote reported true for a promoted or interactive claim")
 	}
 }

@@ -104,15 +104,15 @@ func DefaultParams(target Target) Params {
 func (p Params) Validate() error {
 	last := 0.0
 	for i, tier := range p.DistanceTiers {
-		if tier.Below <= last {
+		if !(tier.Below > last) {
 			return fmt.Errorf("fi: distance tier %d not in increasing Below order", i)
 		}
 		last = tier.Below
 	}
-	if p.CurvatureDuration < 0 {
+	if !(p.CurvatureDuration >= 0) {
 		return fmt.Errorf("fi: CurvatureDuration must be non-negative")
 	}
-	if p.CurvatureRamp < 0 {
+	if !(p.CurvatureRamp >= 0) {
 		return fmt.Errorf("fi: CurvatureRamp must be non-negative")
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fi
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,17 @@ func TestValidateRejectsBadTiers(t *testing.T) {
 	p3.CurvatureRamp = -1
 	if err := p3.Validate(); err == nil {
 		t.Error("negative ramp should fail")
+	}
+	for name, mod := range map[string]func(*Params){
+		"tier below": func(p *Params) { p.DistanceTiers[1].Below = math.NaN() },
+		"duration":   func(p *Params) { p.CurvatureDuration = math.NaN() },
+		"ramp":       func(p *Params) { p.CurvatureRamp = math.NaN() },
+	} {
+		p := DefaultParams(TargetMixed)
+		mod(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("NaN %s should fail", name)
+		}
 	}
 }
 

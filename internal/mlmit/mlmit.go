@@ -110,7 +110,7 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Threshold <= 0 || c.Bias <= 0 {
+	if !(c.Threshold > 0) || !(c.Bias > 0) {
 		return fmt.Errorf("mlmit: Threshold and Bias must be positive: %+v", c)
 	}
 	return nil

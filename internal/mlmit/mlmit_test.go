@@ -29,6 +29,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Threshold: 1, Bias: 0}).Validate(); err == nil {
 		t.Error("zero bias should fail")
 	}
+	if err := (Config{Threshold: math.NaN(), Bias: 1}).Validate(); err == nil {
+		t.Error("NaN threshold should fail")
+	}
+	if err := (Config{Threshold: 1, Bias: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN bias should fail")
+	}
 	if _, err := New(DefaultConfig(), nil); err == nil {
 		t.Error("nil network should fail")
 	}

@@ -91,19 +91,19 @@ func DefaultConfig() Config {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.MaxDistanceJump <= 0:
+	case !(c.MaxDistanceJump > 0):
 		return fmt.Errorf("monitor: MaxDistanceJump must be positive")
 	case c.ResidualWindow <= 0:
 		return fmt.Errorf("monitor: ResidualWindow must be positive")
-	case c.ResidualBias <= 0 || c.ResidualThreshold <= 0 || c.ResidualCap <= 0:
+	case !(c.ResidualBias > 0) || !(c.ResidualThreshold > 0) || !(c.ResidualCap > 0):
 		return fmt.Errorf("monitor: residual CUSUM parameters must be positive")
-	case c.TrackLossMin < 0 || c.TrackLossMax < c.TrackLossMin:
+	case !(c.TrackLossMin >= 0) || !(c.TrackLossMax >= c.TrackLossMin):
 		return fmt.Errorf("monitor: track-loss band invalid")
-	case c.LateralMargin < 0 || c.LateralStrikes <= 0:
+	case !(c.LateralMargin >= 0) || c.LateralStrikes <= 0:
 		return fmt.Errorf("monitor: lateral parameters invalid")
-	case c.FallbackDecel <= 0:
+	case !(c.FallbackDecel > 0):
 		return fmt.Errorf("monitor: FallbackDecel must be positive")
-	case c.Hold < 0:
+	case !(c.Hold >= 0):
 		return fmt.Errorf("monitor: Hold must be non-negative")
 	}
 	return nil

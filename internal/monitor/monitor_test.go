@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LateralMargin = -1 },
 		func(c *Config) { c.ResidualWindow = 0 },
 		func(c *Config) { c.ResidualCap = 0 },
+		func(c *Config) { c.MaxDistanceJump = math.NaN() },
+		func(c *Config) { c.ResidualBias = math.NaN() },
+		func(c *Config) { c.ResidualThreshold = math.NaN() },
+		func(c *Config) { c.ResidualCap = math.NaN() },
+		func(c *Config) { c.TrackLossMin = math.NaN() },
+		func(c *Config) { c.TrackLossMax = math.NaN() },
+		func(c *Config) { c.LateralMargin = math.NaN() },
+		func(c *Config) { c.FallbackDecel = math.NaN() },
+		func(c *Config) { c.Hold = math.NaN() },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

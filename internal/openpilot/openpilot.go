@@ -102,17 +102,17 @@ func DefaultConfig() Config {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.SetSpeed <= 0:
+	case !(c.SetSpeed > 0):
 		return fmt.Errorf("openpilot: SetSpeed %v must be positive", c.SetSpeed)
-	case c.GapTime <= 0 || c.MinGap < 0:
+	case !(c.GapTime > 0) || !(c.MinGap >= 0):
 		return fmt.Errorf("openpilot: gap parameters must be positive")
-	case c.AccelLimit <= 0 || c.BrakeLimit <= 0:
+	case !(c.AccelLimit > 0) || !(c.BrakeLimit > 0):
 		return fmt.Errorf("openpilot: accel/brake limits must be positive")
-	case c.CurvatureRate <= 0:
+	case !(c.CurvatureRate > 0):
 		return fmt.Errorf("openpilot: CurvatureRate must be positive")
-	case c.EngageTTC < 0:
+	case !(c.EngageTTC >= 0):
 		return fmt.Errorf("openpilot: EngageTTC must be non-negative")
-	case c.BrakeJerk < 0:
+	case !(c.BrakeJerk >= 0):
 		return fmt.Errorf("openpilot: BrakeJerk must be non-negative")
 	}
 	return nil

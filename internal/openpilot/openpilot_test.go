@@ -32,6 +32,14 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CurvatureRate = 0 },
 		func(c *Config) { c.EngageTTC = -1 },
 		func(c *Config) { c.BrakeJerk = -1 },
+		func(c *Config) { c.SetSpeed = math.NaN() },
+		func(c *Config) { c.GapTime = math.NaN() },
+		func(c *Config) { c.MinGap = math.NaN() },
+		func(c *Config) { c.AccelLimit = math.NaN() },
+		func(c *Config) { c.BrakeLimit = math.NaN() },
+		func(c *Config) { c.CurvatureRate = math.NaN() },
+		func(c *Config) { c.EngageTTC = math.NaN() },
+		func(c *Config) { c.BrakeJerk = math.NaN() },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

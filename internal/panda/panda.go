@@ -40,10 +40,10 @@ func DefaultLimits() Limits {
 
 // Validate reports whether the limits are usable.
 func (l Limits) Validate() error {
-	if l.MaxAccel <= 0 || l.MaxDecel <= 0 {
+	if !(l.MaxAccel > 0) || !(l.MaxDecel > 0) {
 		return fmt.Errorf("panda: accel limits must be positive: %+v", l)
 	}
-	if l.MaxCurvature <= 0 || l.MaxCurvatureRate <= 0 {
+	if !(l.MaxCurvature > 0) || !(l.MaxCurvatureRate > 0) {
 		return fmt.Errorf("panda: curvature limits must be positive: %+v", l)
 	}
 	return nil

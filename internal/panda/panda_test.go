@@ -27,6 +27,10 @@ func TestLimitsValidate(t *testing.T) {
 		func(l *Limits) { l.MaxDecel = -1 },
 		func(l *Limits) { l.MaxCurvature = 0 },
 		func(l *Limits) { l.MaxCurvatureRate = 0 },
+		func(l *Limits) { l.MaxAccel = math.NaN() },
+		func(l *Limits) { l.MaxDecel = math.NaN() },
+		func(l *Limits) { l.MaxCurvature = math.NaN() },
+		func(l *Limits) { l.MaxCurvatureRate = math.NaN() },
 	}
 	for i, mod := range bad {
 		l := DefaultLimits()

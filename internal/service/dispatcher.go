@@ -74,9 +74,10 @@ type Config struct {
 	// for a full-spec report), an order of magnitude heavier than a job
 	// or exploration record, so its cap is much smaller. Zero means 256.
 	MaxReportRecords int
-	// AgeAfter is the aging rule of the priority queue: after this many
-	// interactive dispatches have overtaken waiting bulk work, the next
-	// dispatch must be the oldest bulk task. Zero means 4.
+	// AgeAfter is the aging rule: a running bulk task with runs waiting
+	// for a runner may be overtaken by this many interactive task starts;
+	// the next one promotes it, and its runs then take freed runners
+	// first until it finishes. Zero means 4.
 	AgeAfter int
 	// JournalDir, when non-empty, enables the write-ahead task journal:
 	// a submission is appended (and fsynced) before it is queued, so an
@@ -171,15 +172,15 @@ func (c Config) retentionCap(class RetentionClass) int {
 
 // Dispatcher owns the task queue, the run pool, and the result cache.
 //
-// Tasks of every registered kind are admitted into one bounded priority
-// queue and executed one at a time by a single scheduler goroutine:
-// FIFO within a priority class, interactive ahead of bulk, with the
-// aging rule bounding how long bulk work waits. Each task's runs fan out
-// over the shared experiments.Pool, whose Runners keep long-lived
-// core.Platforms serviced via Reset, so the steady-state cost of a run
-// is the closed loop itself, never platform construction. Results land
-// in slots indexed by the canonical run order, which keeps task output
-// independent of pool size and task interleaving.
+// Tasks of every registered kind are admitted into one bounded queue,
+// FIFO per priority class, and each class's scheduler lane executes its
+// tasks one at a time. Each task's runs fan out over the shared
+// experiments.Pool, whose Runners keep long-lived core.Platforms
+// serviced via Reset, so the steady-state cost of a run is the closed
+// loop itself. The pool hands a freed Runner to interactive runs before
+// bulk ones, and the aging rule promotes an overtaken bulk task. Results
+// land in slots indexed by the canonical run order, which keeps task
+// output independent of pool size and task interleaving.
 type Dispatcher struct {
 	cfg   Config
 	cache *store.ResultCache
@@ -200,15 +201,20 @@ type Dispatcher struct {
 	recovery *RecoveryStats
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signals queue activity to the scheduler
+	lane     map[PriorityClass]*sync.Cond // signals queue activity to each lane
 	tasks    map[string]*task
 	retained map[RetentionClass]*classRecords
 	queue    taskQueue
-	seq      int
+	// The aging rule's state: the claim of the bulk lane's latest task,
+	// and the interactive starts counted against it.
+	bulkClaim *experiments.Claim
+	overtakes int
+	seq       int
 
 	draining  bool
 	halted    atomic.Bool // crash simulation: suppress journal writes
-	schedDone chan struct{}
+	lanes     sync.WaitGroup
+	schedDone chan struct{} // closed once both lanes have returned
 }
 
 // RecoveryStats summarizes the journal replay performed at boot.
@@ -230,8 +236,8 @@ type RecoveryStats struct {
 }
 
 // NewDispatcher replays the journal (when configured), then starts the
-// scheduler — recovered tasks are queued before anything submitted after
-// boot.
+// scheduler lanes — recovered tasks are queued before anything
+// submitted after boot.
 func NewDispatcher(cfg Config) (*Dispatcher, error) { return newDispatcher(cfg, nil) }
 
 // newDispatcher is NewDispatcher with an optional run-function override
@@ -252,7 +258,10 @@ func newDispatcher(cfg Config, run func(*experiments.Runner, core.Options) (*cor
 		retained:  map[RetentionClass]*classRecords{RetentionStandard: {}, RetentionHeavy: {}},
 		schedDone: make(chan struct{}),
 	}
-	d.cond = sync.NewCond(&d.mu)
+	d.lane = map[PriorityClass]*sync.Cond{}
+	for _, class := range priorityClasses {
+		d.lane[class] = sync.NewCond(&d.mu)
+	}
 	d.pool = experiments.NewPoolWith(cfg.Workers, d.m.poolOptions(cfg.RunRetries, run))
 	d.hub = newWorkerHub(cache, newWorkerMetrics(cfg.Metrics), cfg.Logger, cfg.LeaseTTL, cfg.WorkerBatch)
 	d.limiter = newSubmitLimiter(cfg.SubmitRate, cfg.SubmitBurst, cfg.Metrics)
@@ -264,15 +273,22 @@ func newDispatcher(cfg Config, run func(*experiments.Runner, core.Options) (*cor
 		d.journal = j
 		d.recoverTasks(recs, stats)
 	}
-	go d.scheduler()
+	d.lanes.Add(len(priorityClasses))
+	for _, class := range priorityClasses {
+		go d.scheduler(class)
+	}
+	go func() {
+		d.lanes.Wait()
+		close(d.schedDone)
+	}()
 	return d, nil
 }
 
 // recoverTasks re-queues the journal's live submissions in their
-// original submission order. It runs before the scheduler starts. A
-// record that no longer decodes or prepares becomes a terminal failed
-// task (visible over the API, journaled terminal so compaction drops
-// it) rather than aborting recovery.
+// original submission order within each class. It runs before the
+// scheduler lanes start. A record that no longer decodes or prepares
+// becomes a terminal failed task (visible over the API, journaled
+// terminal so compaction drops it) rather than aborting recovery.
 func (d *Dispatcher) recoverTasks(recs []journalRecord, stats ReplayStats) {
 	byPlural := make(map[string]*TaskKind, len(taskKinds))
 	for _, k := range taskKinds {
@@ -509,7 +525,7 @@ func (d *Dispatcher) SubmitTask(kind *TaskKind, spec TaskSpec, priority Priority
 	d.m.submitted[kind.Plural].Inc()
 	d.appendEventLocked(t, EventQueued, fmt.Sprintf("queue depth %d", d.queue.depth()))
 	d.recordLocked(t)
-	d.cond.Signal()
+	d.lane[queueClass(priority)].Signal()
 	d.log.Debug("task submitted",
 		"task", t.id, "kind", kind.Name, "priority", string(queueClass(priority)),
 		"spec", shortHash(prep.Hash), "queue_depth", d.queue.depth())
@@ -549,17 +565,6 @@ func (d *Dispatcher) taskResult(id string) (any, string, *TaskKind, *SoleRunRef,
 	default:
 		return nil, t.hash, t.kind, nil, true, fmt.Errorf("service: %s %s is %s", t.kind.Name, id, t.status)
 	}
-}
-
-// TaskResults returns the wire-shaped results of a finished task: the
-// kind's Wire marshal applied to the result, a pure function of the
-// normalized spec.
-func (d *Dispatcher) TaskResults(id string) (any, bool, error) {
-	result, hash, kind, _, ok, err := d.taskResult(id)
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	return kind.Wire(hash, result), true, nil
 }
 
 // TaskDone returns a channel closed when the task reaches a terminal
@@ -620,6 +625,12 @@ func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 			d.log.Info("task cancellation requested", "task", t.id, "kind", t.kind.Name)
 		}
 		t.cancel.Store(true)
+		if queueClass(t.priority) == PriorityBulk {
+			// The bulk lane's task: let its waiting run take the next
+			// freed Runner, find the flag and stop, rather than wait
+			// behind interactive runs.
+			d.bulkClaim.Promote()
+		}
 	default:
 		return d.viewLocked(t), ErrTaskTerminal
 	}
@@ -649,14 +660,16 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 	d.mu.Lock()
 	d.draining = true
 	d.mu.Unlock()
-	d.cond.Broadcast()
+	for _, lane := range d.lane {
+		lane.Broadcast()
+	}
 
 	select {
 	case <-d.schedDone:
 	case <-ctx.Done():
 		return fmt.Errorf("service: drain: %w", ctx.Err())
 	}
-	// The scheduler has returned, so no task is executing: every run and
+	// Both lanes have returned, so no task is executing: every run and
 	// remote batch a task started has settled.
 	d.hub.close()
 	if d.journal != nil {
@@ -706,25 +719,33 @@ func monoMillis(start, end time.Time) float64 {
 	return float64(end.Sub(start).Microseconds()) / 1e3
 }
 
-// scheduler executes queued tasks one at a time in priority order (FIFO
-// within a class, interactive first, aging rule for bulk). The popped
-// task transitions to running under the same lock, so a concurrent
-// Cancel can never observe it as still queued.
-func (d *Dispatcher) scheduler() {
-	defer close(d.schedDone)
+// scheduler is the lane of one priority class: it executes the class's
+// queued tasks one at a time, FIFO. The popped task transitions to
+// running under the same lock, so a concurrent Cancel can never observe
+// it as still queued. An interactive start also applies the aging rule
+// to the bulk lane's running task.
+func (d *Dispatcher) scheduler(class PriorityClass) {
+	defer d.lanes.Done()
 	for {
 		d.mu.Lock()
-		for d.queue.empty() && !d.draining {
-			d.cond.Wait()
+		t := d.queue.pop(class)
+		for t == nil && !d.draining {
+			d.lane[class].Wait()
+			t = d.queue.pop(class)
 		}
-		if d.queue.empty() {
+		if t == nil {
 			d.mu.Unlock()
 			return // draining and drained
 		}
-		t, promoted := d.queue.pop(d.cfg.AgeAfter)
 		d.m.queueAdd(t, -1)
-		if promoted {
-			d.m.agingPromotions.Inc()
+		claim := experiments.NewClaim(class == PriorityBulk)
+		if class == PriorityBulk {
+			d.bulkClaim, d.overtakes = claim, 0
+		} else if d.bulkClaim != nil && d.bulkClaim.Waiting() {
+			if d.overtakes++; d.overtakes > d.cfg.AgeAfter && d.bulkClaim.Promote() {
+				d.m.agingPromotions.Inc()
+				d.log.Info("running bulk task promoted", "overtaken_by", t.id)
+			}
 		}
 		mono := time.Now()
 		now := mono.UTC()
@@ -732,22 +753,22 @@ func (d *Dispatcher) scheduler() {
 		t.startedAt = &now
 		t.startedMono = mono
 		wait := mono.Sub(t.submittedMono)
-		d.m.queueWait[t.kind.Plural][queueClass(t.priority)].Observe(wait.Seconds())
+		d.m.queueWait[t.kind.Plural][class].Observe(wait.Seconds())
 		d.appendEventLocked(t, EventStarted, fmt.Sprintf("queue wait %s", wait.Round(time.Microsecond)))
 		d.mu.Unlock()
 		d.log.Info("task started", "task", t.id, "kind", t.kind.Name,
-			"priority", string(queueClass(t.priority)), "queue_wait", wait, "aged", promoted)
-		d.executeTask(t)
+			"priority", string(class), "queue_wait", wait)
+		d.executeTask(t, claim)
 	}
 }
 
-// executeTask runs one task (already marked running by the scheduler)
-// through its kind's Run on the run pool, then finalizes the
+// executeTask runs one task (already marked running by its lane)
+// through its kind's Run on the run pool under claim, then finalizes the
 // record: done with its result, failed with its error, or canceled with
 // partial results discarded. With a journal configured, the terminal
 // transition is journaled (for done tasks, with a fingerprint of the
 // wire-shaped result) so a restart never replays finished work.
-func (d *Dispatcher) executeTask(t *task) {
+func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 	canceled := func() bool {
 		return t.cancel.Load() || d.halted.Load()
 	}
@@ -757,7 +778,7 @@ func (d *Dispatcher) executeTask(t *task) {
 		// cancellation before it starts each run.
 		Exec: remoteExecutor{
 			hub: d.hub,
-			local: d.pool.WithCancel(func() error {
+			local: d.pool.Bind(claim, func() error {
 				if canceled() {
 					return ErrCanceled
 				}

@@ -140,7 +140,7 @@ func newDispatcherMetrics(reg *obs.Registry, uninstrumented bool) *dispatcherMet
 	m.taskPanics = reg.Counter("adasim_task_panics_total",
 		"Kind-level Run panics isolated to their task.")
 	m.agingPromotions = reg.Counter("adasim_aging_promotions_total",
-		"Bulk tasks dispatched ahead of waiting interactive work by the aging rule.")
+		"Bulk tasks promoted by the aging rule: their runs take freed runners ahead of waiting interactive runs.")
 	m.cancelQueued = reg.Counter("adasim_cancellations_total",
 		"Accepted cancellation requests by task phase.", obs.L("phase", "queued"))
 	m.cancelRunning = reg.Counter("adasim_cancellations_total",

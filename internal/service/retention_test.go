@@ -11,12 +11,13 @@ import (
 	"weak"
 )
 
-// gateSpec is a task that announces itself when the scheduler starts it
-// and then blocks until the test hands it an outcome, so a test decides
-// exactly when, and how, each task finishes.
+// gateSpec is a task that announces itself when its lane starts it and
+// then blocks until the test hands it an outcome on release, so a test
+// decides exactly when, and how, each task finishes.
 type gateSpec struct {
-	n int
-	h *retentionHarness
+	n       int
+	h       *retentionHarness
+	release chan gateOutcome
 }
 
 // gateOutcome is what a released gate task returns from its Run.
@@ -41,7 +42,7 @@ func (g gateSpec) Prepare() (PreparedTask, error) {
 				return nil, TaskStats{}, ErrCanceled
 			}
 			select {
-			case out := <-g.h.release:
+			case out := <-g.release:
 				return out.result, TaskStats{}, out.err
 			case <-g.h.stop:
 				return nil, TaskStats{}, ErrCanceled
@@ -58,20 +59,20 @@ type retentionHarness struct {
 	t    *testing.T
 	d    *Dispatcher
 	caps map[RetentionClass]int
-	// started receives a gate task's submission number when the
-	// scheduler runs it; release hands the running task its outcome;
-	// stop, closed at cleanup, lets every gate task return so the
-	// dispatcher can drain.
+	// started receives a gate task's submission number when its lane
+	// runs it; release hands each task its outcome; stop, closed at
+	// cleanup, lets every gate task return so the dispatcher can drain.
 	started chan int
-	release chan gateOutcome
+	release map[string]chan gateOutcome
 	stop    chan struct{}
 
-	ids     []string // by submission number
-	class   map[string]RetentionClass
-	status  map[string]Status
-	order   []string // the oracle's retained IDs, in submission order
-	running string   // "" when no task runs
-	queued  []string // queued IDs, in submission order
+	ids      []string // by submission number
+	class    map[string]RetentionClass
+	priority map[string]PriorityClass
+	status   map[string]Status
+	order    []string                 // the oracle's retained IDs, in submission order
+	running  map[PriorityClass]string // per lane; "" when the lane is idle
+	queued   []string                 // queued IDs, in submission order
 }
 
 func newRetentionHarness(t *testing.T, cfg Config) *retentionHarness {
@@ -85,11 +86,13 @@ func newRetentionHarness(t *testing.T, cfg Config) *retentionHarness {
 			RetentionStandard: cfg.MaxJobRecords,
 			RetentionHeavy:    cfg.MaxReportRecords,
 		},
-		started: make(chan int),
-		release: make(chan gateOutcome),
-		stop:    make(chan struct{}),
-		class:   make(map[string]RetentionClass),
-		status:  make(map[string]Status),
+		started:  make(chan int),
+		release:  make(map[string]chan gateOutcome),
+		stop:     make(chan struct{}),
+		class:    make(map[string]RetentionClass),
+		priority: make(map[string]PriorityClass),
+		status:   make(map[string]Status),
+		running:  make(map[PriorityClass]string),
 	}
 	// Registered after newTestDispatcher's drain, so it runs first.
 	t.Cleanup(func() { close(h.stop) })
@@ -119,22 +122,31 @@ func (h *retentionHarness) oraclePrune() {
 	}
 }
 
-// settle waits, when nothing runs and work is queued, for the scheduler
-// to start the next task. Afterwards the dispatcher is quiescent: the
-// scheduler blocks inside the running gate until the test releases it.
+// settle waits, while a lane is idle and its class has queued work, for
+// the lanes to start their next tasks. Afterwards the dispatcher is
+// quiescent: each busy lane blocks inside its running gate until the
+// test releases it.
 func (h *retentionHarness) settle() {
 	h.t.Helper()
-	if h.running != "" || len(h.queued) == 0 {
-		return
-	}
-	select {
-	case n := <-h.started:
-		id := h.ids[n]
-		h.queued = slices.DeleteFunc(h.queued, func(q string) bool { return q == id })
-		h.status[id] = StatusRunning
-		h.running = id
-	case <-time.After(10 * time.Second):
-		h.t.Fatalf("scheduler did not start any of %d queued tasks", len(h.queued))
+	for {
+		idle := 0
+		for _, class := range priorityClasses {
+			if h.running[class] == "" && slices.ContainsFunc(h.queued, func(id string) bool { return h.priority[id] == class }) {
+				idle++
+			}
+		}
+		if idle == 0 {
+			return
+		}
+		select {
+		case n := <-h.started:
+			id := h.ids[n]
+			h.queued = slices.DeleteFunc(h.queued, func(q string) bool { return q == id })
+			h.status[id] = StatusRunning
+			h.running[h.priority[id]] = id
+		case <-time.After(10 * time.Second):
+			h.t.Fatalf("lanes did not start any of %d queued tasks", len(h.queued))
+		}
 	}
 }
 
@@ -142,7 +154,8 @@ func (h *retentionHarness) settle() {
 func (h *retentionHarness) submit(kind *TaskKind, priority PriorityClass) string {
 	h.t.Helper()
 	n := len(h.ids)
-	v, err := h.d.SubmitTask(kind, gateSpec{n: n, h: h}, priority)
+	release := make(chan gateOutcome)
+	v, err := h.d.SubmitTask(kind, gateSpec{n: n, h: h, release: release}, priority)
 	if full := len(h.queued) >= h.d.cfg.QueueSize; full {
 		if !errors.Is(err, ErrQueueFull) {
 			h.t.Fatalf("submit with %d queued: err %v, want ErrQueueFull", len(h.queued), err)
@@ -154,6 +167,8 @@ func (h *retentionHarness) submit(kind *TaskKind, priority PriorityClass) string
 	}
 	h.ids = append(h.ids, v.ID)
 	h.class[v.ID] = kind.Class
+	h.priority[v.ID] = queueClass(v.Priority)
+	h.release[v.ID] = release
 	h.status[v.ID] = StatusQueued
 	h.order = append(h.order, v.ID)
 	h.queued = append(h.queued, v.ID)
@@ -173,13 +188,24 @@ func (h *retentionHarness) cancelQueued(id string) {
 	h.oraclePrune()
 }
 
-// finish ends the running task with the given terminal status and
-// returns the weak pointer to its result (zero unless done).
-func (h *retentionHarness) finish(status Status) weak.Pointer[gateResult] {
+// busyLanes lists the lanes running a task.
+func (h *retentionHarness) busyLanes() []PriorityClass {
+	var busy []PriorityClass
+	for _, class := range priorityClasses {
+		if h.running[class] != "" {
+			busy = append(busy, class)
+		}
+	}
+	return busy
+}
+
+// finish ends the running task of a lane with the given terminal status
+// and returns the weak pointer to its result (zero unless done).
+func (h *retentionHarness) finish(lane PriorityClass, status Status) weak.Pointer[gateResult] {
 	h.t.Helper()
-	id := h.running
+	id := h.running[lane]
 	if id == "" {
-		h.t.Fatal("finish with no running task")
+		h.t.Fatalf("finish with no running %s task", lane)
 	}
 	// Fetched first: the finishing task may be evicted at once, when it
 	// is its class's oldest terminal record.
@@ -198,10 +224,11 @@ func (h *retentionHarness) finish(status Status) weak.Pointer[gateResult] {
 			h.t.Fatalf("cancel running %s: %v", id, err)
 		}
 	}
-	h.release <- out
+	h.release[id] <- out
 	<-done
+	delete(h.release, id)
 	h.status[id] = status
-	h.running = ""
+	h.running[lane] = ""
 	h.oraclePrune()
 	h.settle()
 	return wp
@@ -261,10 +288,10 @@ func (h *retentionHarness) check(step string) {
 
 // TestRetentionInterleavings drives seeded random interleavings of
 // submissions (every kind, so both retention classes, and both
-// priorities), cancellations of queued tasks, and completions (done,
-// failed, canceled while running) under small caps and aging, and checks
-// the dispatcher's retained records against the full-scan oracle after
-// every step. A failure names its seed; rerun it with
+// priorities, so both lanes), cancellations of queued tasks, and
+// completions (done, failed, canceled while running) in either lane
+// under small caps and aging, and checks the dispatcher's retained
+// records against the full-scan oracle after every step. A failure names its seed; rerun it with
 // -run 'TestRetentionInterleavings/seed=N$'.
 func TestRetentionInterleavings(t *testing.T) {
 	kinds := []*TaskKind{JobKind, ExplorationKind, ReportKind}
@@ -287,10 +314,12 @@ func TestRetentionInterleavings(t *testing.T) {
 					id := h.queued[rng.Intn(len(h.queued))]
 					step = "cancel queued " + id
 					h.cancelQueued(id)
-				case p < 0.55 && h.running != "":
+				case p < 0.55 && len(h.busyLanes()) > 0:
+					lanes := h.busyLanes()
+					lane := lanes[rng.Intn(len(lanes))]
 					status := finishes[rng.Intn(len(finishes))]
-					step = fmt.Sprintf("finish %s as %s", h.running, status)
-					h.finish(status)
+					step = fmt.Sprintf("finish %s as %s", h.running[lane], status)
+					h.finish(lane, status)
 				default:
 					kind := kinds[rng.Intn(len(kinds))]
 					priority := priorities[rng.Intn(len(priorities))]
@@ -298,28 +327,31 @@ func TestRetentionInterleavings(t *testing.T) {
 				}
 				h.check(fmt.Sprintf("seed %d step %d (%s)", seed, i, step))
 			}
-			for h.running != "" {
-				h.finish(StatusDone)
-				h.check(fmt.Sprintf("seed %d final drain", seed))
+			for _, lane := range priorities {
+				for h.running[lane] != "" {
+					h.finish(lane, StatusDone)
+					h.check(fmt.Sprintf("seed %d final drain", seed))
+				}
 			}
 		})
 	}
 }
 
 // TestRetentionKeepsQueuedHead pins eviction in submission order, not
-// finish order: a bulk job queued behind interactive work heads the
-// standard class's queue while newer jobs finish, survives their
-// eviction while it waits, and, once it finishes last, is the first
-// record evicted.
+// finish order: a bulk job queued behind a running bulk report heads
+// the standard class's queue while newer interactive jobs finish,
+// survives their eviction while it waits, and, once it finishes last, is
+// the first record evicted.
 func TestRetentionKeepsQueuedHead(t *testing.T) {
 	h := newRetentionHarness(t, Config{QueueSize: 8, MaxJobRecords: 2, AgeAfter: 100})
+	h.submit(ReportKind, PriorityBulk)                       // occupies the bulk lane
 	jobs := []string{h.submit(JobKind, PriorityInteractive)} // runs at once
 	bulk := h.submit(JobKind, PriorityBulk)
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, h.submit(JobKind, PriorityInteractive))
 	}
 	for i := 0; i < 4; i++ {
-		h.finish(StatusDone)
+		h.finish(PriorityInteractive, StatusDone)
 		h.check(fmt.Sprintf("finish %d", i))
 	}
 	// jobs[0..3] are done and the cap keeps two, so the two oldest are
@@ -335,8 +367,9 @@ func TestRetentionKeepsQueuedHead(t *testing.T) {
 			t.Errorf("finished job %s retained past the cap", id)
 		}
 	}
-	h.finish(StatusDone) // jobs[4]; the bulk job starts
-	h.finish(StatusDone) // the bulk job
+	h.finish(PriorityInteractive, StatusDone) // jobs[4]
+	h.finish(PriorityBulk, StatusDone)        // the report; the bulk job starts
+	h.finish(PriorityBulk, StatusDone)        // the bulk job
 	h.check("bulk finished")
 	if _, ok := h.d.Task(bulk); ok {
 		t.Errorf("bulk job %s retained, want evicted as the oldest submission", bulk)
@@ -359,7 +392,7 @@ func TestEvictedRecordsUnreachable(t *testing.T) {
 	}
 	var results []weak.Pointer[gateResult]
 	for i := 0; i < n; i++ {
-		results = append(results, h.finish(StatusDone))
+		results = append(results, h.finish(PriorityInteractive, StatusDone))
 	}
 	h.check("all finished")
 	runtime.GC()

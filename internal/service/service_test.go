@@ -30,6 +30,18 @@ func smallSpec() JobSpec {
 	}
 }
 
+// TaskResults returns the wire-shaped results of a finished task: the
+// kind's Wire marshal applied to the result, a pure function of the
+// normalized spec. Only tests read results this way; the server streams
+// them through the same taskResult.
+func (d *Dispatcher) TaskResults(id string) (any, bool, error) {
+	result, hash, kind, _, ok, err := d.taskResult(id)
+	if !ok || err != nil {
+		return nil, ok, err
+	}
+	return kind.Wire(hash, result), true, nil
+}
+
 func newTestDispatcher(t *testing.T, cfg Config) *Dispatcher {
 	t.Helper()
 	d, err := NewDispatcher(cfg)

@@ -41,18 +41,18 @@ func (s Status) terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
-// PriorityClass schedules a task relative to other queued work.
-// Interactive tasks are dispatched ahead of bulk ones; the aging rule
-// (Config.AgeAfter) bounds how long bulk work can be overtaken, so a
-// stream of interactive submissions cannot starve it.
+// PriorityClass selects a task's scheduler lane and its runs' standing
+// in the run pool: interactive runs take freed runners first, and the
+// aging rule (Config.AgeAfter) bounds how many interactive tasks can
+// overtake a bulk task, so they cannot starve it.
 type PriorityClass string
 
 const (
 	// PriorityInteractive is for short, latency-sensitive work (jobs,
-	// explorations): dispatched ahead of bulk tasks.
+	// explorations): its runs take freed runners ahead of bulk runs.
 	PriorityInteractive PriorityClass = "interactive"
 	// PriorityBulk is for heavy, throughput-oriented work (reports):
-	// overtaken by interactive tasks until the aging rule promotes it.
+	// overtaken by interactive runs until the aging rule promotes it.
 	PriorityBulk PriorityClass = "bulk"
 )
 
@@ -261,68 +261,49 @@ type TaskView struct {
 	RunMillis       float64 `json:"run_ms,omitempty"`
 }
 
-// taskQueue is the priority queue behind the dispatcher: FIFO within
-// each class, interactive ahead of bulk, with an aging credit so bulk
-// work is dispatched after at most ageAfter interactive overtakes.
+// taskQueue holds the queued tasks: one FIFO per priority class, each
+// popped by its own scheduler lane.
 type taskQueue struct {
 	interactive []*task
 	bulk        []*task
-	// overtakes counts interactive dispatches since the head bulk task
-	// could have run; at ageAfter the next dispatch must be bulk.
-	overtakes int
 }
 
-func (q *taskQueue) depth() int  { return len(q.interactive) + len(q.bulk) }
-func (q *taskQueue) empty() bool { return q.depth() == 0 }
+func (q *taskQueue) depth() int { return len(q.interactive) + len(q.bulk) }
+
+// class returns the FIFO of a priority class; everything non-bulk is
+// interactive.
+func (q *taskQueue) class(p PriorityClass) *[]*task {
+	if p == PriorityBulk {
+		return &q.bulk
+	}
+	return &q.interactive
+}
 
 func (q *taskQueue) push(t *task) {
-	if t.priority == PriorityBulk {
-		q.bulk = append(q.bulk, t)
-	} else {
-		q.interactive = append(q.interactive, t)
-	}
+	c := q.class(t.priority)
+	*c = append(*c, t)
 }
 
-// pop returns the next task to dispatch: interactive first, unless bulk
-// work has already been overtaken ageAfter times, in which case the
-// oldest bulk task runs (the aging rule). promoted reports that the
-// aging rule fired — the bulk task was dispatched ahead of waiting
-// interactive work (feeds the aging-promotions counter).
-func (q *taskQueue) pop(ageAfter int) (t *task, promoted bool) {
-	popBulk := len(q.interactive) == 0 || (len(q.bulk) > 0 && q.overtakes >= ageAfter)
+// pop returns the oldest queued task of a class, or nil.
+func (q *taskQueue) pop(p PriorityClass) *task {
+	c := q.class(p)
+	if len(*c) == 0 {
+		return nil
+	}
+	t := (*c)[0]
 	// Popped slots are cleared: the backing arrays outlive the pops, and
 	// must not keep finished (or evicted) records reachable.
-	if popBulk && len(q.bulk) > 0 {
-		t := q.bulk[0]
-		q.bulk[0] = nil
-		q.bulk = q.bulk[1:]
-		q.overtakes = 0
-		return t, len(q.interactive) > 0
-	}
-	t = q.interactive[0]
-	q.interactive[0] = nil
-	q.interactive = q.interactive[1:]
-	if len(q.bulk) > 0 {
-		q.overtakes++
-	}
-	return t, false
+	(*c)[0] = nil
+	*c = (*c)[1:]
+	return t
 }
 
 // remove deletes a queued task (cancellation path). It is a no-op if the
-// task is not queued. Emptying the bulk class clears the aging credit:
-// overtakes measure how long the *current* head bulk task has waited,
-// and must not carry over to a future bulk arrival.
+// task is not queued.
 func (q *taskQueue) remove(t *task) {
-	for _, class := range []*[]*task{&q.interactive, &q.bulk} {
-		for i, qt := range *class {
-			if qt == t {
-				*class = slices.Delete(*class, i, i+1)
-				if len(q.bulk) == 0 {
-					q.overtakes = 0
-				}
-				return
-			}
-		}
+	c := q.class(t.priority)
+	if i := slices.Index(*c, t); i >= 0 {
+		*c = slices.Delete(*c, i, i+1)
 	}
 }
 

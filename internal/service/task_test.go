@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"adasim/internal/fi"
+	"adasim/internal/report"
 )
 
 // slowSpec is a job that reliably keeps a single-worker pool busy for
@@ -26,23 +27,29 @@ func slowSpec(reps int) JobSpec {
 	return s
 }
 
-// submitOccupier submits a slow job and waits until the scheduler has
-// actually started it, so follow-up submissions land in the queue (not
-// ahead of an unpopped occupier).
+// submitOccupier submits a slow job and waits until the interactive
+// lane has actually started it, so follow-up interactive submissions
+// land in the queue (not ahead of an unpopped occupier).
 func submitOccupier(t *testing.T, d *Dispatcher, reps int) TaskView {
 	t.Helper()
 	v, err := d.SubmitTask(JobKind, slowSpec(reps), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return awaitRunning(t, d, v.ID)
+}
+
+// awaitRunning waits until a lane has started the task.
+func awaitRunning(t *testing.T, d *Dispatcher, id string) TaskView {
+	t.Helper()
 	deadline := time.Now().Add(time.Minute)
 	for {
-		view, ok := d.Task(v.ID)
+		view, ok := d.Task(id)
 		if ok && view.Status == StatusRunning {
 			return view
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("occupier never started: %+v", view)
+			t.Fatalf("task %s never started: %+v", id, view)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -72,13 +79,22 @@ func finalViews(t *testing.T, d *Dispatcher, ids ...string) map[string]TaskView 
 	return views
 }
 
-// TestInteractiveOvertakesBulk pins the priority queue: with an
+// bulkReportSpec is a report with enough short runs that the gaps
+// between interactive tasks, where a bulk run may take the runner,
+// cannot finish it.
+func bulkReportSpec() report.Spec {
+	s := smallReportSpec()
+	s.Reps = 4
+	return s
+}
+
+// TestInteractiveOvertakesBulk pins the priority order: with an
 // occupier running, a bulk report submitted BEFORE two interactive jobs
-// is dispatched after them.
+// finishes after them — its runs wait while interactive runs do.
 func TestInteractiveOvertakesBulk(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 16, CacheEntries: 64})
 	occ := submitOccupier(t, d, 60)
-	rep, err := d.SubmitTask(ReportKind, ReportTask{Spec: smallReportSpec()}, "")
+	rep, err := d.SubmitTask(ReportKind, ReportTask{Spec: bulkReportSpec()}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,18 +121,20 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 }
 
 // TestBulkAgingPreventsStarvation pins the aging rule: after AgeAfter
-// interactive dispatches have overtaken a waiting bulk task, the bulk
-// task runs ahead of further interactive work.
+// interactive tasks have overtaken a bulk task with a run waiting, the
+// bulk task's runs go ahead of further interactive work. Each job runs
+// two slow reps, so the third job cannot finish inside the report's
+// post-run rendering.
 func TestBulkAgingPreventsStarvation(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 16, CacheEntries: 64, AgeAfter: 2})
 	occ := submitOccupier(t, d, 60)
-	rep, err := d.SubmitTask(ReportKind, ReportTask{Spec: smallReportSpec()}, "")
+	rep, err := d.SubmitTask(ReportKind, ReportTask{Spec: bulkReportSpec()}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var jobs []string
 	for i := 0; i < 4; i++ {
-		spec := smallSpec()
+		spec := slowSpec(2)
 		spec.BaseSeed = int64(70 + i)
 		v, err := d.SubmitTask(JobKind, spec, "")
 		if err != nil {
@@ -401,7 +419,16 @@ func TestHealthQueueAndCacheCounters(t *testing.T) {
 	ts := httptest.NewServer(NewServer(d))
 	defer ts.Close()
 
+	// One occupier per lane: the interactive one holds the only runner,
+	// so the bulk one (a report) stays running while its runs wait.
 	occ := submitOccupier(t, d, 60)
+	boccSpec := smallReportSpec()
+	boccSpec.BaseSeed = 8
+	bocc, err := d.SubmitTask(ReportKind, ReportTask{Spec: boccSpec}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitRunning(t, d, bocc.ID)
 	jv, err := d.SubmitTask(JobKind, smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +447,7 @@ func TestHealthQueueAndCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if health.Queue.Depth != 2 || health.QueueDepth != 2 {
-		t.Errorf("queue depth = %d/%d, want 2 (occupier running, job+report queued)",
+		t.Errorf("queue depth = %d/%d, want 2 (occupiers running, job+report queued)",
 			health.Queue.Depth, health.QueueDepth)
 	}
 	if health.Queue.ByKind["jobs"] != 1 || health.Queue.ByKind["reports"] != 1 || health.Queue.ByKind["explorations"] != 0 {
@@ -436,12 +463,12 @@ func TestHealthQueueAndCacheCounters(t *testing.T) {
 		t.Errorf("cache stats missing from healthz: %+v", health.Cache)
 	}
 
-	finalViews(t, d, occ.ID, jv.ID, rv.ID)
+	finalViews(t, d, occ.ID, bocc.ID, jv.ID, rv.ID)
 	b, _ = get(t, ts, "/healthz")
 	if err := json.Unmarshal(b, &health); err != nil {
 		t.Fatal(err)
 	}
-	// The three finished tasks executed real runs: the cache must have
+	// The four finished tasks executed real runs: the cache must have
 	// recorded misses and the queue must be empty again.
 	if health.Cache.Misses == 0 {
 		t.Errorf("cache misses = 0 after cold runs: %+v", health.Cache)

@@ -16,8 +16,10 @@ import (
 // indexed key is read back. Nothing may panic; every index entry must
 // lie inside its segment; and each read must either return bytes whose
 // CRC-32C matches the framing on disk, or miss with the record dropped
-// from the index and counted as corrupt or as a read error. The corpus
-// is seeded from a real store of a few records.
+// from the index and counted as corrupt or as a read error. No key may
+// stay indexed behind a tombstone that follows its last record. The
+// corpus is seeded from a real store of a few records, one of them
+// dropped (a tombstone).
 func FuzzSegmentStoreOpen(f *testing.F) {
 	seed := f.TempDir()
 	s, err := openSegStore(seed, 0, 0, newCacheMetrics(nil))
@@ -27,7 +29,8 @@ func FuzzSegmentStoreOpen(f *testing.F) {
 	for i := 0; i < 4; i++ {
 		s.append(key(i), []byte(fmt.Sprintf(`{"steps":%d}`, i)))
 	}
-	s.close() // writes the active segment's sidecar
+	s.deleteKey(key(1)) // appends a tombstone
+	s.close()           // writes the active segment's sidecar
 	seg, err := os.ReadFile(filepath.Join(seed, fmt.Sprintf(cacheSegPattern, 1)))
 	if err != nil {
 		f.Fatal(err)
@@ -47,6 +50,11 @@ func FuzzSegmentStoreOpen(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[16:], crc32.Checksum(huge[cacheIdxHeader:], crcCastagnoli))
 	f.Add(seg, huge, true)
 	f.Add([]byte(nil), []byte(nil), false)
+	// The tombstone with its CRC word flipped: the scan must treat it as
+	// a torn tail rather than apply it.
+	badTomb := append([]byte(nil), seg...)
+	badTomb[len(badTomb)-1] ^= 0xff
+	f.Add(badTomb, []byte(nil), false)
 
 	f.Fuzz(func(t *testing.T, segBytes, idxBytes []byte, withIdx bool) {
 		dir := t.TempDir()
@@ -71,6 +79,9 @@ func FuzzSegmentStoreOpen(f *testing.F) {
 			refs[k] = ref
 		}
 		s.mu.RUnlock()
+		if _, ok := refs[key(1)]; ok && bytes.Equal(segBytes, seg) && (!withIdx || bytes.Equal(idxBytes, idx)) {
+			t.Fatalf("key dropped by the seed's tombstone is indexed")
+		}
 		for k, ref := range refs {
 			if ref.off < 0 || ref.plen < 0 || ref.off > ref.seg.size-4-int64(ref.plen) {
 				t.Fatalf("index entry %q at off %d len %d outside its %d-byte segment",

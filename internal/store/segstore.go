@@ -21,6 +21,11 @@
 //     index build stays a header walk): a failing record is dropped
 //     from the index and counted once, so retries are plain misses;
 //
+//   - a drop persists as a tombstone: a record with an empty payload
+//     whose CRC word covers its key. Boot applies records in segment
+//     order, so a later append of the key wins. Tombstones count as
+//     live bytes, so their segment outlives the records they cover;
+//
 //   - records are immutable under their content-hash keys and an append
 //     of an indexed key is a no-op, so dead bytes only arise from
 //     records dropped as corrupt or undecodable, and from duplicates a
@@ -142,8 +147,9 @@ type cacheSegment struct {
 	size int64
 	live int64 // bytes of records the index still points at
 	// keys and refs list every record in file order (superseded copies
-	// included) — the in-memory image of the index sidecar, and what
-	// removeSegmentLocked walks to find the records here.
+	// and tombstones included) — the in-memory image of the index
+	// sidecar, and what removeSegmentLocked walks to find the records
+	// here.
 	keys   []string
 	refs   []segRef
 	sealed bool
@@ -233,16 +239,13 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 	// matches the file, and falls back to the sequential record scan
 	// otherwise — writing the sidecar it was missing so the next boot
 	// skips the scan. The index merge runs in ascending-seq order so the
-	// last record for a duplicated key wins exactly as a single
-	// sequential pass would resolve it.
-	dupes := false
+	// last record for a duplicated key, or its tombstone, wins exactly as
+	// a single sequential pass would resolve it.
 	for i, seg := range scan { // scan is name-sorted: ascending seq
 		// Only the segment resuming as active needs refs kept around (its
 		// sidecar is rewritten at seal/close); sealed ones are immutable.
 		buildRefs := i == len(scan)-1
-		if d, ok := s.loadSidecar(seg, buildRefs); ok {
-			dupes = dupes || d
-		} else {
+		if !s.loadSidecar(seg, buildRefs) {
 			if err := s.scanSegment(seg); err != nil {
 				for _, g := range scan {
 					g.f.Close()
@@ -251,11 +254,7 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 			}
 			s.writeSidecar(seg)
 			for j, key := range seg.keys {
-				n := len(s.index)
-				s.index[key] = seg.refs[j]
-				if len(s.index) == n {
-					dupes = true // superseded an earlier copy; fixed up below
-				}
+				s.indexRecord(key, seg.refs[j])
 			}
 			if !buildRefs {
 				seg.refs = nil
@@ -263,9 +262,6 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 		}
 		s.segs[seg.seq] = seg
 		s.bytes += seg.size
-	}
-	if dupes {
-		s.recomputeLiveLocked()
 	}
 	s.removeStraySidecars()
 	// The highest-numbered segment resumes as the active one; a fresh
@@ -310,16 +306,31 @@ func cacheSegmentNames(dir string) ([]string, error) {
 	return names, nil
 }
 
+// indexRecord applies one boot record, already counted live in its
+// segment, to the index: a payload record is indexed, a tombstone (plen
+// 0) unindexes its key, and the record either displaces turns dead.
+// Boot-only.
+func (s *segStore) indexRecord(key string, ref segRef) {
+	if old, ok := s.index[key]; ok {
+		old.seg.live -= segRecordTotal(key, int(old.plen))
+	}
+	if ref.plen == 0 {
+		delete(s.index, key)
+	} else {
+		s.index[key] = ref
+	}
+}
+
 // scanSegment walks one segment's records with a single buffered
 // sequential pass: headers and keys are parsed in place in the
 // reader's buffer and payload bytes are discarded, never surfaced (CRC
-// verification happens per read) — no per-record syscalls or copies. A
-// torn or corrupt tail truncates the segment at the last whole record
-// and counts once. It fills seg.keys/seg.refs for the caller's serial
-// index merge; seg.live is provisional (every record counted —
-// duplicates are rare and fixed up by recomputeLiveLocked). This is
-// the fallback path: sidecar-less segments only, i.e. the segment that
-// was active at a crash plus anything older than the sidecar format.
+// verification happens per read; only a tombstone's is checked here) —
+// no per-record syscalls or copies. A torn or corrupt tail truncates
+// the segment at the last whole record and counts once. It fills
+// seg.keys/seg.refs for the caller's serial index merge and counts
+// every record live; the merge turns displaced ones dead. This is the
+// fallback path: sidecar-less segments only, i.e. the segment that was
+// active at a crash plus anything older than the sidecar format.
 func (s *segStore) scanSegment(seg *cacheSegment) error {
 	fileSize := seg.size // from the open-time stat
 	r := bufio.NewReaderSize(io.NewSectionReader(seg.f, 0, fileSize), 1<<20)
@@ -345,17 +356,19 @@ func (s *segStore) scanSegment(seg *cacheSegment) error {
 			torn = true
 			break
 		}
-		rec, err := r.Peek(8 + int(keyLen))
-		if err != nil {
+		plen := recLen - keyLen - 8
+		rec, err := r.Peek(12 + int(keyLen)) // through the CRC word
+		if err != nil ||
+			plen == 0 && crc32.Checksum(rec[8:8+keyLen], crcCastagnoli) != binary.LittleEndian.Uint32(rec[8+keyLen:]) {
 			torn = true
 			break
 		}
-		key := string(rec[8:])
+		key := string(rec[8 : 8+keyLen])
 		if _, err := r.Discard(int(total)); err != nil {
 			torn = true
 			break
 		}
-		seg.refs = append(seg.refs, segRef{seg: seg, off: off + 8 + keyLen, plen: int32(recLen - keyLen - 8)})
+		seg.refs = append(seg.refs, segRef{seg: seg, off: off + 8 + keyLen, plen: int32(plen)})
 		seg.live += total
 		seg.keys = append(seg.keys, key)
 		off += total
@@ -405,28 +418,27 @@ func (s *segStore) writeSidecar(seg *cacheSegment) {
 }
 
 // loadSidecar rebuilds seg's portion of the index from its sidecar:
-// seg.keys, seg.live, and — entries inserted straight into s.index in
+// seg.keys, seg.live, and — entries applied straight to s.index in
 // record order, so the caller's only job is ordering segments by seq.
-// dupes reports whether an insert displaced an existing index entry
-// (recomputeLiveLocked territory). buildRefs additionally materializes
-// seg.refs, needed only for the segment that resumes as active (its
-// sidecar is rewritten on seal/close). Returns ok=false — with no state
-// touched — when the sidecar is missing, malformed, or stale (written
-// for a different segment size): the caller scans the segment instead.
-func (s *segStore) loadSidecar(seg *cacheSegment, buildRefs bool) (dupes, ok bool) {
+// buildRefs additionally materializes seg.refs, needed only for the
+// segment that resumes as active (its sidecar is rewritten on
+// seal/close). Returns false — with no state touched — when the
+// sidecar is missing, malformed, or stale (written for a different
+// segment size): the caller scans the segment instead.
+func (s *segStore) loadSidecar(seg *cacheSegment, buildRefs bool) bool {
 	b, err := os.ReadFile(s.idxPath(seg.seq))
 	if err != nil || len(b) < cacheIdxHeader {
-		return false, false
+		return false
 	}
 	if binary.LittleEndian.Uint32(b) != cacheIdxMagic ||
 		int64(binary.LittleEndian.Uint64(b[4:])) != seg.size {
-		return false, false
+		return false
 	}
 	count := int(binary.LittleEndian.Uint32(b[12:]))
 	body := b[cacheIdxHeader:]
 	if count < 0 || count > len(body)/cacheIdxEntrySize ||
 		crc32.Checksum(body, crcCastagnoli) != binary.LittleEndian.Uint32(b[16:]) {
-		return false, false
+		return false
 	}
 	entries, keyBlock := body[:count*cacheIdxEntrySize], body[count*cacheIdxEntrySize:]
 	// Validation pass: nothing is inserted until the whole sidecar
@@ -441,12 +453,12 @@ func (s *segStore) loadSidecar(seg *cacheSegment, buildRefs bool) (dupes, ok boo
 		// cannot overflow past the end check.
 		if keyLen < 1 || keyLen > maxCacheKeyLen ||
 			roff < int64(keyLen)+8 || roff > seg.size || roff+4+plen > seg.size {
-			return false, false
+			return false
 		}
 		keyBytes += keyLen
 	}
 	if keyBytes != len(keyBlock) {
-		return false, false
+		return false
 	}
 	// Build pass. One arena string backs every key — for 1e5+ entries the
 	// per-key allocations (and the GC marking they feed) otherwise rival
@@ -472,13 +484,9 @@ func (s *segStore) loadSidecar(seg *cacheSegment, buildRefs bool) (dupes, ok boo
 			seg.refs = append(seg.refs, ref)
 		}
 		seg.live += segRecordTotal(key, int(ref.plen))
-		n := len(s.index)
-		s.index[key] = ref
-		if len(s.index) == n {
-			dupes = true
-		}
+		s.indexRecord(key, ref)
 	}
-	return dupes, true
+	return true
 }
 
 // removeStraySidecars deletes sidecar files whose segment no longer
@@ -497,18 +505,6 @@ func (s *segStore) removeStraySidecars() {
 		if _, ok := s.segs[seq]; !ok {
 			os.Remove(path)
 		}
-	}
-}
-
-// recomputeLiveLocked rebuilds every segment's live-byte count from the
-// final index — the exact fix-up for boot scans that overwrote
-// duplicate keys without probing for the superseded copy first.
-func (s *segStore) recomputeLiveLocked() {
-	for _, seg := range s.segs {
-		seg.live = 0
-	}
-	for key, ref := range s.index {
-		ref.seg.live += segRecordTotal(key, int(ref.plen))
 	}
 }
 
@@ -592,28 +588,35 @@ func (s *segStore) deleteKey(key string) {
 
 // unindexLocked deletes key's index entry, which points at ref. A sealed
 // segment left with no live record is deleted at once: nothing can read
-// it again, and appends only go to the active segment. s.mu must be
-// held.
+// it again, and appends only go to the active segment. Otherwise the
+// record stays on disk, and a tombstone keeps the next boot from
+// indexing it again. s.mu must be held.
 func (s *segStore) unindexLocked(key string, ref segRef) {
 	delete(s.index, key)
 	ref.seg.live -= segRecordTotal(key, int(ref.plen))
-	s.reclaimLocked(ref.seg)
+	if !s.reclaimLocked(ref.seg) {
+		s.writeLocked(key, nil)
+	}
 	s.publishGaugesLocked()
 }
 
 // reclaimLocked deletes seg if it is sealed and holds no live record,
-// counting it as a compaction. s.mu must be held.
-func (s *segStore) reclaimLocked(seg *cacheSegment) {
-	if seg.sealed && seg.live == 0 {
-		s.removeSegmentLocked(seg)
-		s.met.compactions.Inc()
+// counting it as a compaction, and reports whether it did. s.mu must be
+// held.
+func (s *segStore) reclaimLocked(seg *cacheSegment) bool {
+	if !seg.sealed || seg.live > 0 {
+		return false
 	}
+	s.removeSegmentLocked(seg)
+	s.met.compactions.Inc()
+	return true
 }
 
 // append stores payload under key. Keys are content hashes, so a key
-// already indexed is a no-op. Failures are counted and swallowed.
+// already indexed is a no-op. An empty payload would read back as a
+// tombstone and is refused. Failures are counted and swallowed.
 func (s *segStore) append(key string, payload []byte) {
-	if len(key) < 1 || len(key) > maxCacheKeyLen ||
+	if len(key) < 1 || len(key) > maxCacheKeyLen || len(payload) == 0 ||
 		segRecordTotal(key, len(payload)) > maxCacheRecordBytes {
 		return
 	}
@@ -625,10 +628,25 @@ func (s *segStore) append(key string, payload []byte) {
 	if _, ok := s.index[key]; ok {
 		return
 	}
-	// Rotate first when the record would overflow the segment bound.
+	if ref, ok := s.writeLocked(key, payload); ok {
+		s.index[key] = ref
+		s.gcLocked()
+		s.publishGaugesLocked()
+	}
+}
+
+// writeLocked appends one record to the active segment, rotating first
+// when it would overflow the segment bound: payload under key, or a
+// tombstone for key when payload is empty. It reports where the record
+// landed and whether the write succeeded. s.mu must be held.
+func (s *segStore) writeLocked(key string, payload []byte) (segRef, bool) {
 	total := segRecordTotal(key, len(payload))
 	if s.active.size > 0 && s.active.size+total > s.segMax && !s.rotateLocked() {
-		return
+		return segRef{}, false
+	}
+	crc := crc32.Checksum(payload, crcCastagnoli)
+	if len(payload) == 0 {
+		crc = crc32.Checksum([]byte(key), crcCastagnoli)
 	}
 	if cap(s.scratch) < int(total) {
 		s.scratch = make([]byte, 0, int(total))
@@ -637,14 +655,14 @@ func (s *segStore) append(key string, payload []byte) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(total-4))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
 	b = append(b, key...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcCastagnoli))
+	b = binary.LittleEndian.AppendUint32(b, crc)
 	b = append(b, payload...)
 	s.scratch = b[:0]
 	if _, err := s.active.f.WriteAt(b, s.active.size); err != nil {
 		// A partial tail write is overwritten by the next append (size
 		// did not advance) or truncated by the next boot scan.
 		s.met.errWrite.Inc()
-		return
+		return segRef{}, false
 	}
 	ref := segRef{seg: s.active, off: s.active.size + 8 + int64(len(key)), plen: int32(len(payload))}
 	s.active.size += total
@@ -652,9 +670,7 @@ func (s *segStore) append(key string, payload []byte) {
 	s.active.keys = append(s.active.keys, key)
 	s.active.refs = append(s.active.refs, ref)
 	s.bytes += total
-	s.index[key] = ref
-	s.gcLocked()
-	s.publishGaugesLocked()
+	return ref, true
 }
 
 // rotateLocked seals the active segment (fsync — the store's only

@@ -323,3 +323,76 @@ func TestSegStoreClosedReadsMiss(t *testing.T) {
 		t.Fatalf("record after reopen = %q %v", got, ok)
 	}
 }
+
+// TestSegStoreDropSurvivesRestart pins the tombstone: a record dropped
+// from a partly dead sealed segment — undecodable (deleteKey) or
+// CRC-failing (a corrupt read) — stays dropped after a reboot from the
+// sidecars and after one from the record scan: it misses, the index
+// and the dead bytes come back as they were, and the corrupt record is
+// not counted again. A later append of a dropped key wins.
+func TestSegStoreDropSurvivesRestart(t *testing.T) {
+	for _, scan := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sidecar", true: "scan"}[scan], func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTestStore(t, dir, 400, 0)
+			for i := 0; i < 4; i++ { // segment {0,1,2} sealed, {3} active
+				s.append(key(i), segPayload(i))
+			}
+			s.close()
+			path := filepath.Join(dir, "cache-00000001.seg")
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second := 4 + int(binary.LittleEndian.Uint32(b)) // record 1 starts here
+			b[second+4+int(binary.LittleEndian.Uint32(b[second:]))-1] ^= 0xff
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s = openTestStore(t, dir, 400, 0)
+			s.deleteKey(key(0))
+			if _, ok := s.read(key(1)); ok {
+				t.Fatal("corrupt record served")
+			}
+			before := s.stats()
+			if before.IndexEntries != 2 || before.Segments != 2 || before.CorruptRecords != 1 || before.DeadBytes == 0 {
+				t.Fatalf("after the drops: %+v", before)
+			}
+			s.close()
+			if scan {
+				idx, _ := filepath.Glob(filepath.Join(dir, "cache-*.idx"))
+				for _, p := range idx {
+					os.Remove(p)
+				}
+			}
+
+			s2 := openTestStore(t, dir, 400, 0)
+			for i := 0; i < 2; i++ {
+				if got, ok := s2.read(key(i)); ok {
+					t.Fatalf("dropped key %d indexed again after reboot: %q", i, got)
+				}
+			}
+			after := s2.stats()
+			if after.IndexEntries != before.IndexEntries || after.DeadBytes != before.DeadBytes ||
+				after.LiveBytes != before.LiveBytes || after.CorruptRecords != 0 {
+				t.Fatalf("after reboot: %+v, before: %+v (corrupt count restarts at 0)", after, before)
+			}
+			for _, i := range []int{2, 3} {
+				if got, ok := s2.read(key(i)); !ok || !bytes.Equal(got, segPayload(i)) {
+					t.Fatalf("record %d after reboot = %q %v", i, got, ok)
+				}
+			}
+
+			s2.append(key(0), segPayload(10))
+			s2.close()
+			s3 := openTestStore(t, dir, 400, 0)
+			if got, ok := s3.read(key(0)); !ok || !bytes.Equal(got, segPayload(10)) {
+				t.Fatalf("re-put after the tombstone = %q %v, want the new payload", got, ok)
+			}
+			if _, ok := s3.read(key(1)); ok {
+				t.Fatal("corrupt key indexed again after a second reboot")
+			}
+		})
+	}
+}
