@@ -23,9 +23,12 @@ test-race:
 # fuzz-smoke runs each native fuzz target briefly over its seeded corpus
 # (the golden wire-format fixtures): strict spec decoding must never
 # panic and decode->Normalized->encode must be a fixed point. The
-# segment-store target boots the cache's disk tier on arbitrary segment
-# and sidecar bytes: it must never panic, and every indexed read must
-# return CRC-clean bytes or be dropped and counted.
+# internal/store target is the boot path of both framed logs: it boots
+# the cache's disk tier on arbitrary segment and sidecar bytes (never
+# panic; every indexed read returns CRC-clean bytes or is dropped and
+# counted), and the task journal on the same bytes as a framed and as a
+# legacy JSONL segment (boot succeeds, and the compacted journal
+# replays to the same live set).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/explore

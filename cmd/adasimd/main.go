@@ -11,7 +11,6 @@
 //	adasimd -journal-dir /var/lib/adasim     # crash-safe task journal
 //	adasimd -log-format json -log-level debug
 //	adasimd -pprof                           # /debug/pprof/* profiling
-//	adasimd -submit-rate 10 -submit-burst 20 # per-client rate limiting
 //
 // Distributed execution: remote worker nodes (see cmd/adasim-worker)
 // register over HTTP and lease run batches; tasks fan out across the
@@ -76,8 +75,6 @@ func run() error {
 		runRetries   = flag.Int("run-retries", 0, "extra attempts per failing run (0 = default 2, negative = disabled)")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "remote-worker lease TTL (0 = default 10s)")
 		workerBatch  = flag.Int("worker-batch", 0, "runs per remote-worker lease (0 = default 16)")
-		submitRate   = flag.Float64("submit-rate", 0, "per-client submissions per second (0 = rate limiting off)")
-		submitBurst  = flag.Int("submit-burst", 0, "per-client submission burst capacity (0 = 1 when limiting is on)")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "max time to read a request (headers + body)")
 		writeTimeout = flag.Duration("write-timeout", 5*time.Minute, "max time to write a response (bounds SSE streams too)")
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
@@ -103,19 +100,10 @@ func run() error {
 		RunRetries:    *runRetries,
 		LeaseTTL:      *leaseTTL,
 		WorkerBatch:   *workerBatch,
-		SubmitRate:    *submitRate,
-		SubmitBurst:   *submitBurst,
 		Logger:        logger,
 	})
 	if err != nil {
 		return err
-	}
-	if rec := d.Recovery(); rec != nil {
-		logger.Info("journal replay complete",
-			"recovered", rec.RecoveredTasks,
-			"terminal", rec.TerminalTasks,
-			"failed_replays", rec.FailedReplays,
-			"corrupt_records", rec.CorruptRecords)
 	}
 
 	var handler http.Handler = service.NewServer(d)

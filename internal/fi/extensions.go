@@ -77,11 +77,11 @@ func DefaultExtensionParams() ExtensionParams {
 // Validate reports whether the extension parameters are usable.
 func (p ExtensionParams) Validate() error {
 	switch {
-	case p.RemovalBelow < 0:
+	case !(p.RemovalBelow >= 0):
 		return fmt.Errorf("fi: RemovalBelow must be non-negative")
-	case p.StealthRate < 0 || p.StealthMax < 0:
+	case !(p.StealthRate >= 0) || !(p.StealthMax >= 0):
 		return fmt.Errorf("fi: stealth parameters must be non-negative")
-	case p.LaneShiftDuration < 0 || p.LaneShiftRamp < 0:
+	case !(p.LaneShiftDuration >= 0) || !(p.LaneShiftRamp >= 0):
 		return fmt.Errorf("fi: lane-shift timing must be non-negative")
 	}
 	return nil

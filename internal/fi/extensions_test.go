@@ -27,6 +27,25 @@ func TestNewExtendedRejectsClassicTargets(t *testing.T) {
 	}
 }
 
+// TestExtensionParamsValidateRejectsNaN pins the NaN-failing bounds: a
+// NaN compares false against every sign check, so each field must be
+// rejected by a comparison that NaN fails.
+func TestExtensionParamsValidateRejectsNaN(t *testing.T) {
+	for name, mod := range map[string]func(*ExtensionParams){
+		"removal below":       func(p *ExtensionParams) { p.RemovalBelow = math.NaN() },
+		"stealth rate":        func(p *ExtensionParams) { p.StealthRate = math.NaN() },
+		"stealth max":         func(p *ExtensionParams) { p.StealthMax = math.NaN() },
+		"lane-shift duration": func(p *ExtensionParams) { p.LaneShiftDuration = math.NaN() },
+		"lane-shift ramp":     func(p *ExtensionParams) { p.LaneShiftRamp = math.NaN() },
+	} {
+		p := DefaultExtensionParams()
+		mod(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("NaN %s should fail", name)
+		}
+	}
+}
+
 func TestLeadRemoval(t *testing.T) {
 	inj, err := NewExtended(TargetLeadRemoval, DefaultExtensionParams())
 	if err != nil {

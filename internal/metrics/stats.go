@@ -67,37 +67,3 @@ func PreventionCI(outs []Outcome) RateCI {
 	}
 	return NewRateCI(prevented, len(outs))
 }
-
-// Quantile returns the q-quantile (0..1) of xs using linear
-// interpolation. xs is copied and sorted; an empty slice returns 0.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	insertionSort(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[i]
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
-// insertionSort keeps the stats path dependency-free (the slices involved
-// are tiny: one value per campaign run).
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

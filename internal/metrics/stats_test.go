@@ -61,26 +61,3 @@ func TestPreventionCI(t *testing.T) {
 		t.Errorf("interval [%v, %v] should bracket %v", ci.Lo, ci.Hi, ci.Rate)
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("median = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q25 = %v", got)
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("input slice mutated")
-	}
-}

@@ -127,14 +127,14 @@ func (g *GenSpec) Validate() error {
 			if err := validTrigger(seg.Trigger, false); err != nil {
 				return fmt.Errorf("scenario: actor %q segment %d: %w", a.Name, j, err)
 			}
-			if seg.Speed < 0 || seg.Decel < 0 {
+			if !(seg.Speed >= 0) || !(seg.Decel >= 0) {
 				return fmt.Errorf("scenario: actor %q segment %d: Speed and Decel must be non-negative", a.Name, j)
 			}
 		}
 		if err := validTrigger(b.LaneTrigger, true); err != nil {
 			return fmt.Errorf("scenario: actor %q: %w", a.Name, err)
 		}
-		if b.LaneTrigger.Kind != 0 && b.LaneChangeTime < 0 {
+		if b.LaneTrigger.Kind != 0 && !(b.LaneChangeTime >= 0) {
 			return fmt.Errorf("scenario: actor %q LaneChangeTime must be non-negative", a.Name)
 		}
 	}

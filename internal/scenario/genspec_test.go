@@ -53,6 +53,15 @@ func TestGeneratedSpecValidates(t *testing.T) {
 			s.Generated.Actors[1].Behavior.Segments = []SpeedSegment{
 				{Trigger: Trigger{Kind: TriggerAtTime, Value: 1}, Speed: 5, Decel: -1}}
 		},
+		"nan segment speed": func(s *Spec) {
+			s.Generated.Actors[1].Behavior.Segments = []SpeedSegment{
+				{Trigger: Trigger{Kind: TriggerAtTime, Value: 1}, Speed: math.NaN(), Decel: 1}}
+		},
+		"nan segment decel": func(s *Spec) {
+			s.Generated.Actors[1].Behavior.Segments = []SpeedSegment{
+				{Trigger: Trigger{Kind: TriggerAtTime, Value: 1}, Speed: 5, Decel: math.NaN()}}
+		},
+		"nan lane change time": func(s *Spec) { s.Generated.Actors[1].Behavior.LaneChangeTime = math.NaN() },
 		"too many actors": func(s *Spec) {
 			for i := 0; i <= MaxGeneratedActors; i++ {
 				s.Generated.Actors = append(s.Generated.Actors,

@@ -99,14 +99,6 @@ type Config struct {
 	// splitting is deterministic over run indexes, so this affects
 	// scheduling only, never results. Zero means 16.
 	WorkerBatch int
-	// SubmitRate, when positive, enables per-client rate limiting on
-	// the task-submission routes: each remote host accrues SubmitRate
-	// tokens per second up to SubmitBurst, one submission per token;
-	// beyond that, 429 with Retry-After. Zero disables limiting.
-	SubmitRate float64
-	// SubmitBurst is the token-bucket capacity per client. Zero means 1
-	// when limiting is enabled.
-	SubmitBurst int
 	// Metrics is the observability registry every layer records into
 	// (queue, cache, journal, HTTP); the daemon serves it at /metrics.
 	// Nil means a private registry — everything still records, it is
@@ -192,12 +184,8 @@ type Dispatcher struct {
 	pool *experiments.Pool
 	// hub is the remote-worker lease table; always present (a hub with
 	// no registered workers is inert and every task runs on the pool).
-	hub *workerHub
-	// limiter rate-limits task submissions per client; nil when
-	// Config.SubmitRate is zero (the default).
-	limiter *submitLimiter
-
-	journal  *Journal
+	hub      *workerHub
+	journal  *store.Journal
 	recovery *RecoveryStats
 
 	mu       sync.Mutex
@@ -230,8 +218,9 @@ type RecoveryStats struct {
 	// (a journal written by an incompatible version); each becomes a
 	// terminal failed task instead of poisoning recovery.
 	FailedReplays int `json:"failed_replays"`
-	// CorruptRecords counts unparsable journal lines (torn tails from a
-	// crash mid-append); they are skipped, never fatal.
+	// CorruptRecords counts torn segment tails (the residue of a crash
+	// mid-append), records failing their CRC, and records that do not
+	// decode; they are skipped, never fatal.
 	CorruptRecords int `json:"corrupt_records"`
 }
 
@@ -264,9 +253,8 @@ func newDispatcher(cfg Config, run func(*experiments.Runner, core.Options) (*cor
 	}
 	d.pool = experiments.NewPoolWith(cfg.Workers, d.m.poolOptions(cfg.RunRetries, run))
 	d.hub = newWorkerHub(cache, newWorkerMetrics(cfg.Metrics), cfg.Logger, cfg.LeaseTTL, cfg.WorkerBatch)
-	d.limiter = newSubmitLimiter(cfg.SubmitRate, cfg.SubmitBurst, cfg.Metrics)
 	if cfg.JournalDir != "" {
-		j, recs, stats, err := openJournal(cfg.JournalDir, 0, cfg.Metrics)
+		j, recs, stats, err := store.OpenJournal(cfg.JournalDir, 0, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +277,7 @@ func newDispatcher(cfg Config, run func(*experiments.Runner, core.Options) (*cor
 // scheduler lanes start. A record that no longer decodes or prepares
 // becomes a terminal failed task (visible over the API, journaled
 // terminal so compaction drops it) rather than aborting recovery.
-func (d *Dispatcher) recoverTasks(recs []journalRecord, stats ReplayStats) {
+func (d *Dispatcher) recoverTasks(recs []store.JournalRecord, stats store.ReplayStats) {
 	byPlural := make(map[string]*TaskKind, len(taskKinds))
 	for _, k := range taskKinds {
 		byPlural[k.Plural] = k
@@ -297,14 +285,14 @@ func (d *Dispatcher) recoverTasks(recs []journalRecord, stats ReplayStats) {
 	summary := &RecoveryStats{
 		Segments:       stats.Segments,
 		TerminalTasks:  stats.TerminalTasks,
-		CorruptRecords: stats.CorruptLines,
+		CorruptRecords: stats.CorruptRecords,
 	}
 	d.seq = stats.MaxSeq
 	for _, rec := range recs {
 		if err := d.recoverOne(byPlural[rec.Kind], rec); err != nil {
 			summary.FailedReplays++
-			d.journal.Append(journalRecord{
-				Op: opFailed, ID: rec.ID,
+			d.journal.Append(store.JournalRecord{
+				Op: store.OpFailed, ID: rec.ID,
 				Error: fmt.Sprintf("recovery: %v", err),
 				At:    time.Now().UTC(),
 			})
@@ -325,7 +313,7 @@ func (d *Dispatcher) recoverTasks(recs []journalRecord, stats ReplayStats) {
 // recoverOne rebuilds one journaled task through the same strict
 // Decode/Prepare pipeline a fresh submission uses, preserving its ID,
 // priority, and submission time, and queues it.
-func (d *Dispatcher) recoverOne(kind *TaskKind, rec journalRecord) error {
+func (d *Dispatcher) recoverOne(kind *TaskKind, rec store.JournalRecord) error {
 	if kind == nil {
 		return fmt.Errorf("unknown task kind %q", rec.Kind)
 	}
@@ -380,7 +368,7 @@ func shortHash(h string) string {
 // recordReplayFailure retains a terminal failed record for a journaled
 // task that no longer replays, so its ID answers over the API instead
 // of vanishing.
-func (d *Dispatcher) recordReplayFailure(kind *TaskKind, rec journalRecord, cause error) {
+func (d *Dispatcher) recordReplayFailure(kind *TaskKind, rec store.JournalRecord, cause error) {
 	now := time.Now().UTC()
 	t := &task{
 		id:          rec.ID,
@@ -409,9 +397,9 @@ func (d *Dispatcher) Recovery() *RecoveryStats { return d.recovery }
 
 // JournalStats snapshots the journal counters; ok is false when
 // journaling is disabled.
-func (d *Dispatcher) JournalStats() (JournalStats, bool) {
+func (d *Dispatcher) JournalStats() (store.JournalStats, bool) {
 	if d.journal == nil {
-		return JournalStats{}, false
+		return store.JournalStats{}, false
 	}
 	return d.journal.Stats(), true
 }
@@ -510,8 +498,8 @@ func (d *Dispatcher) SubmitTask(kind *TaskKind, spec TaskSpec, priority Priority
 		done:           make(chan struct{}),
 	}
 	if d.journal != nil && !d.halted.Load() {
-		if err := d.journal.Append(journalRecord{
-			Op: opSubmit, ID: t.id, Seq: d.seq,
+		if err := d.journal.Append(store.JournalRecord{
+			Op: store.OpSubmit, ID: t.id, Seq: d.seq,
 			Kind: kind.Plural, Priority: string(priority),
 			Spec: specBytes, At: t.submittedAt,
 		}); err != nil {
@@ -926,14 +914,14 @@ func (d *Dispatcher) journalTerminal(t *task, resultHash string) {
 	if d.journal == nil || d.halted.Load() {
 		return
 	}
-	rec := journalRecord{ID: t.id, At: time.Now().UTC()}
+	rec := store.JournalRecord{ID: t.id, At: time.Now().UTC()}
 	switch t.status {
 	case StatusDone:
-		rec.Op, rec.ResultHash = opDone, resultHash
+		rec.Op, rec.ResultHash = store.OpDone, resultHash
 	case StatusFailed:
-		rec.Op, rec.Error = opFailed, t.errMsg
+		rec.Op, rec.Error = store.OpFailed, t.errMsg
 	case StatusCanceled:
-		rec.Op = opCanceled
+		rec.Op = store.OpCanceled
 	default:
 		return // non-terminal: nothing to journal
 	}

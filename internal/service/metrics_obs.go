@@ -1,6 +1,6 @@
 // Metric wiring for the task runtime. Every series the service exports
-// is registered here (and in newJournalMetrics, and by the result cache
-// in internal/store), at dispatcher construction, with fixed label
+// is registered here (and by the result cache and the journal in
+// internal/store), at dispatcher construction, with fixed label
 // values — so the /metrics series set is deterministic and label
 // cardinality is bounded by the registered kinds, priority classes, and
 // status vocabulary, never by runtime input (task IDs and spec hashes
@@ -29,17 +29,15 @@ import (
 
 // Histogram bucket layouts, chosen around the observed scales: a run is
 // sub-millisecond to seconds, a queue wait under load reaches minutes,
-// a journal append is dominated by fsync (sub-millisecond to tens of
-// ms), an in-process HTTP round trip is microseconds to seconds.
+// an in-process HTTP round trip is microseconds to seconds.
 var (
-	queueWaitBuckets     = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30, 60, 300}
-	taskDurBuckets       = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600}
-	runDurBuckets        = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2, 10}
-	journalAppendBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5}
-	httpDurBuckets       = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30}
-	remoteBatchBuckets   = []float64{0.005, 0.025, 0.1, 0.5, 1, 5, 30, 120}
-	mlBatchBuckets       = []float64{1, 2, 4, 8, 16, 32}
-	mlInferBuckets       = []float64{5e-05, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.025}
+	queueWaitBuckets   = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30, 60, 300}
+	taskDurBuckets     = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600}
+	runDurBuckets      = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2, 10}
+	httpDurBuckets     = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30}
+	remoteBatchBuckets = []float64{0.005, 0.025, 0.1, 0.5, 1, 5, 30, 120}
+	mlBatchBuckets     = []float64{1, 2, 4, 8, 16, 32}
+	mlInferBuckets     = []float64{5e-05, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.025}
 )
 
 // requeueReasons is the label vocabulary of the batch re-queue counter:
@@ -193,32 +191,6 @@ func queueClass(p PriorityClass) PriorityClass {
 		return PriorityBulk
 	}
 	return PriorityInteractive
-}
-
-// journalMetrics holds the journal's registry-backed counters, the
-// source of truth behind JournalStats and the adasim_journal_* series.
-type journalMetrics struct {
-	appends      *obs.Counter
-	appendErrors *obs.Counter
-	compactions  *obs.Counter
-	liveTasks    *obs.Gauge
-	segmentBytes *obs.Gauge
-	appendLat    *obs.Histogram
-}
-
-func newJournalMetrics(reg *obs.Registry) *journalMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &journalMetrics{
-		appends:      reg.Counter("adasim_journal_appends_total", "Durable journal appends."),
-		appendErrors: reg.Counter("adasim_journal_append_errors_total", "Failed journal appends and compactions."),
-		compactions:  reg.Counter("adasim_journal_compactions_total", "Journal segment compactions (rotations)."),
-		liveTasks:    reg.Gauge("adasim_journal_live_tasks", "Non-terminal submissions in the journal's live set."),
-		segmentBytes: reg.Gauge("adasim_journal_segment_bytes", "Size of the active journal segment."),
-		appendLat: reg.Histogram("adasim_journal_append_seconds",
-			"Journal append latency including the fsync.", journalAppendBuckets),
-	}
 }
 
 // registerRecoveryMetrics publishes the boot-time replay summary as

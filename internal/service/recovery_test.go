@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -256,6 +259,65 @@ func TestRecoveredSubmissionOrder(t *testing.T) {
 		if v.ID == id {
 			t.Fatalf("new submission reused recovered ID %s", id)
 		}
+	}
+}
+
+// TestRecoveryCountsCorruptRecord pins the journal's frame CRC end to
+// end: a journaled submission whose spec took a flipped byte that still
+// decodes (base_seed 102 -> 103) is counted under
+// RecoveryStats.CorruptRecords and not recovered, while the submission
+// beside it is.
+func TestRecoveryCountsCorruptRecord(t *testing.T) {
+	journalDir := t.TempDir()
+	cfg := Config{Workers: 1, QueueSize: 16, CacheEntries: 64, JournalDir: journalDir}
+	d1, err := NewDispatcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitOccupier(t, d1, 60)
+	var ids []string
+	for seed := int64(101); seed <= 102; seed++ {
+		spec := smallSpec()
+		spec.BaseSeed = seed
+		v, err := d1.SubmitTask(JobKind, spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	haltDispatcher(t, d1)
+
+	segs, err := filepath.Glob(filepath.Join(journalDir, "journal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("journal segments = %v %v, want one", segs, err)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(b, []byte(`"base_seed":102`))
+	if at < 0 {
+		t.Fatalf("second submission not found in the journal")
+	}
+	b[at+len(`"base_seed":102`)-1] ^= 0x01
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := NewDispatcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer haltDispatcher(t, d2)
+	rec := d2.Recovery()
+	if rec == nil || rec.CorruptRecords != 1 || rec.RecoveredTasks != 2 {
+		t.Fatalf("recovery = %+v, want 1 corrupt record and 2 recovered tasks", rec)
+	}
+	if _, ok := d2.Task(ids[0]); !ok {
+		t.Errorf("intact submission %s was not recovered", ids[0])
+	}
+	if v, ok := d2.Task(ids[1]); ok {
+		t.Errorf("corrupt submission %s was recovered: %+v", ids[1], v)
 	}
 }
 

@@ -56,7 +56,7 @@ const MaxSpecBytes = 1 << 20
 func NewServer(d *Dispatcher) *Server {
 	s := &Server{d: d, mux: http.NewServeMux()}
 	for _, k := range Kinds() {
-		s.route("POST /v1/tasks/"+k.Plural, s.limitSubmit(requireJSON(s.handleSubmit(k))))
+		s.route("POST /v1/tasks/"+k.Plural, requireJSON(s.handleSubmit(k)))
 	}
 	s.route("GET /v1/tasks/{id}", s.handleTask)
 	s.route("GET /v1/tasks/{id}/results", s.handleTaskResults)
@@ -204,8 +204,8 @@ type HealthResponse struct {
 	// Journal and Recovery are present only when the daemon runs with a
 	// task journal (-journal-dir): the journal's live-set and error
 	// counters, and what the last boot replayed.
-	Journal  *JournalStats  `json:"journal,omitempty"`
-	Recovery *RecoveryStats `json:"recovery,omitempty"`
+	Journal  *store.JournalStats `json:"journal,omitempty"`
+	Recovery *RecoveryStats      `json:"recovery,omitempty"`
 }
 
 type errorResponse struct {

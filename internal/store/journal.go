@@ -8,16 +8,18 @@
 // the content-addressed disk cache are served from it, so recovery is
 // mostly cache hits.
 //
-// Layout: a journal directory holds append-only JSONL segments named
-// journal-%08d.wal, replayed in name order. Terminal records cancel
-// submit records with the same ID. When the active segment outgrows its
-// size bound the journal compacts: the still-live submit records are
-// rewritten into a fresh segment (write temp, fsync, rename) and the old
-// segments are deleted, so journal size is bounded by the live task set
-// plus one segment, not by submission history. A torn final line — the
-// expected residue of a crash mid-append — is skipped and counted, never
-// fatal.
-package service
+// Layout: a journal directory holds append-only segments named
+// journal-%08d.seg, replayed in name order. Each record is one frame
+// (frame.go) keyed by its task ID, with the JSON record as the payload,
+// so a flipped byte fails the frame's CRC and is counted, never
+// replayed. Terminal records cancel submit records with the same ID.
+// When the active segment outgrows its size bound the journal compacts:
+// the still-live submit records are rewritten into a fresh segment
+// (write temp, fsync, rename) and the old segments are deleted, so
+// journal size is bounded by the live task set plus one segment, not by
+// submission history. A torn tail — the expected residue of a crash
+// mid-append — ends the segment's replay and is counted, never fatal.
+package store
 
 import (
 	"bufio"
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -39,15 +40,15 @@ import (
 // submissions that established it are compacted away (so post-recovery
 // IDs never collide with pre-crash ones).
 const (
-	opSubmit   = "submit"
-	opDone     = "done"
-	opFailed   = "failed"
-	opCanceled = "canceled"
+	OpSubmit   = "submit"
+	OpDone     = "done"
+	OpFailed   = "failed"
+	OpCanceled = "canceled"
 	opSeq      = "seq"
 )
 
-// journalRecord is one JSONL line of the journal.
-type journalRecord struct {
+// JournalRecord is one journal record: the payload of one frame.
+type JournalRecord struct {
 	Op string `json:"op"`
 	ID string `json:"id"`
 	// Seq is the dispatcher submission sequence number (submit only); it
@@ -70,20 +71,28 @@ type journalRecord struct {
 	At    time.Time `json:"at"`
 }
 
+// key is the record's frame key: its task ID, or its op for the ID-less
+// seq marker.
+func (r JournalRecord) key() string {
+	if r.ID == "" {
+		return r.Op
+	}
+	return r.ID
+}
+
 // ReplayStats summarizes one journal replay.
 type ReplayStats struct {
 	// Segments is how many segment files were scanned.
-	Segments int `json:"segments"`
-	// LiveSubmits is how many non-terminal submissions survived replay.
-	LiveSubmits int `json:"live_submits"`
+	Segments int
 	// TerminalTasks is how many journaled submissions were already
 	// terminal (done/failed/canceled) and therefore not recovered.
-	TerminalTasks int `json:"terminal_tasks"`
-	// CorruptLines counts unparsable journal lines (torn tails from a
-	// crash mid-append); they are skipped, never fatal.
-	CorruptLines int `json:"corrupt_lines"`
+	TerminalTasks int
+	// CorruptRecords counts torn tails (one per segment), frames whose
+	// CRC fails, and CRC-clean records that do not decode; they are
+	// skipped, never fatal.
+	CorruptRecords int
 	// MaxSeq is the highest submission sequence number seen.
-	MaxSeq int `json:"-"`
+	MaxSeq int
 }
 
 // JournalStats is a point-in-time snapshot of the journal counters,
@@ -111,7 +120,7 @@ type Journal struct {
 
 	// live holds the submit record of every non-terminal task, in
 	// submission order — exactly what compaction rewrites.
-	live      map[string]journalRecord
+	live      map[string]JournalRecord
 	liveOrder []string
 	// maxSeq is the highest submission sequence ever journaled; compaction
 	// persists it as a seq marker so the floor survives history deletion.
@@ -124,24 +133,32 @@ type Journal struct {
 	closed bool
 }
 
-// journalMaxSegmentBytes bounds the active segment before compaction
-// rewrites the live set into a fresh one. At a few hundred bytes per
-// record this is thousands of submissions per compaction cycle.
-const journalMaxSegmentBytes = 1 << 20
+const (
+	// journalMaxSegmentBytes bounds the active segment before compaction
+	// rewrites the live set into a fresh one: at a few hundred bytes per
+	// record, thousands of submissions per compaction cycle.
+	journalMaxSegmentBytes = 1 << 20
 
-const journalSegPattern = "journal-%08d.wal"
+	journalSegPrefix  = "journal-"
+	journalSegPattern = "journal-%08d.seg"
+	journalSegSuffix  = ".seg"
+	// legacyJournalSuffix names the JSONL segments written before the
+	// journal moved onto frames; see readLegacySegment.
+	legacyJournalSuffix = ".wal"
+)
 
-// openJournal opens (creating if needed) the journal at dir, replays the
+// OpenJournal opens (creating if needed) the journal at dir, replays the
 // existing segments, compacts the live records into a fresh segment, and
 // returns the journal plus the live submissions in original order. The
 // replayed records are the recovery work list; the caller re-submits
-// them. Counters record into reg (nil means a private registry).
-func openJournal(dir string, maxBytes int64, reg *obs.Registry) (*Journal, []journalRecord, ReplayStats, error) {
+// them. maxBytes <= 0 means the default segment bound. Counters record
+// into reg (nil means a private registry).
+func OpenJournal(dir string, maxBytes int64, reg *obs.Registry) (*Journal, []JournalRecord, ReplayStats, error) {
 	if maxBytes <= 0 {
 		maxBytes = journalMaxSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, ReplayStats{}, fmt.Errorf("service: creating journal dir: %w", err)
+		return nil, nil, ReplayStats{}, fmt.Errorf("store: creating journal dir: %w", err)
 	}
 	recs, stats, maxSegSeq, err := replaySegments(dir)
 	if err != nil {
@@ -150,7 +167,7 @@ func openJournal(dir string, maxBytes int64, reg *obs.Registry) (*Journal, []jou
 	j := &Journal{
 		dir:      dir,
 		maxBytes: maxBytes,
-		live:     make(map[string]journalRecord, len(recs)),
+		live:     make(map[string]JournalRecord, len(recs)),
 		maxSeq:   stats.MaxSeq,
 		met:      newJournalMetrics(reg),
 	}
@@ -161,124 +178,139 @@ func openJournal(dir string, maxBytes int64, reg *obs.Registry) (*Journal, []jou
 	// Compact on open: boot is the one moment the live set is known to be
 	// exactly the replayed records, so the rewritten segment both bounds
 	// the journal and proves the directory is writable before any
-	// submission is accepted.
+	// submission is accepted. It also retires any legacy JSONL segment.
 	if err := j.compactLocked(maxSegSeq + 1); err != nil {
 		return nil, nil, stats, err
 	}
 	return j, recs, stats, nil
 }
 
-// segmentNames lists the journal's segment files in replay (name) order.
-func segmentNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("service: reading journal dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), "journal-") && strings.HasSuffix(e.Name(), ".wal") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// replaySegments scans every segment in order and reduces it to the live
-// submit records: a submit enters the set, a terminal op removes it.
-// Terminal records for unknown IDs (already compacted away) and
-// duplicate submits (compaction overlap after an interrupted cleanup)
-// are ignored; unparsable lines are counted and skipped.
-func replaySegments(dir string) ([]journalRecord, ReplayStats, int, error) {
-	names, err := segmentNames(dir)
+// replaySegments replays every segment in name (= sequence) order and
+// returns the live submit records, the replay stats, and the highest
+// segment sequence number on disk. A submit enters the live set and a
+// terminal op removes it; a terminal for an unknown ID (compacted
+// away) and a duplicate submit (compaction overlap after an
+// interrupted cleanup) are ignored.
+func replaySegments(dir string) ([]JournalRecord, ReplayStats, int, error) {
+	names, err := segmentNames(dir, journalSegPrefix, journalSegSuffix, legacyJournalSuffix)
 	if err != nil {
 		return nil, ReplayStats{}, 0, err
 	}
-	var stats ReplayStats
-	stats.Segments = len(names)
-	live := make(map[string]journalRecord)
-	var order []string
+	stats := ReplayStats{Segments: len(names)}
+	live := make(map[string]JournalRecord)
 	terminal := make(map[string]bool)
+	var order []string
+	apply := func(rec JournalRecord, ok bool) {
+		switch {
+		// A key past the frame bound could not be rewritten by compaction.
+		case !ok || rec.ID == "" && rec.Op != opSeq || len(rec.key()) > maxKeyLen:
+			stats.CorruptRecords++
+		case rec.Op == opSeq:
+			stats.MaxSeq = max(stats.MaxSeq, rec.Seq)
+		case rec.Op == OpSubmit:
+			stats.MaxSeq = max(stats.MaxSeq, rec.Seq)
+			if _, dup := live[rec.ID]; !dup && !terminal[rec.ID] {
+				live[rec.ID] = rec
+				order = append(order, rec.ID)
+			}
+		case rec.Op == OpDone || rec.Op == OpFailed || rec.Op == OpCanceled:
+			if _, ok := live[rec.ID]; ok {
+				delete(live, rec.ID)
+				stats.TerminalTasks++
+			}
+			terminal[rec.ID] = true
+		default:
+			stats.CorruptRecords++
+		}
+	}
 	maxSegSeq := 0
 	for _, name := range names {
 		var segSeq int
-		if _, err := fmt.Sscanf(name, journalSegPattern, &segSeq); err == nil && segSeq > maxSegSeq {
-			maxSegSeq = segSeq
+		if _, err := fmt.Sscanf(name, journalSegPrefix+"%d", &segSeq); err == nil {
+			maxSegSeq = max(maxSegSeq, segSeq)
+		}
+		read := readSegment
+		if strings.HasSuffix(name, legacyJournalSuffix) {
+			read = readLegacySegment
 		}
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
-			return nil, stats, 0, fmt.Errorf("service: opening journal segment %s: %w", name, err)
+			return nil, stats, 0, fmt.Errorf("store: opening journal segment: %w", err)
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20) // reports are large specs
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				stats.CorruptLines++
-				continue
-			}
-			if rec.Op == opSeq {
-				if rec.Seq > stats.MaxSeq {
-					stats.MaxSeq = rec.Seq
-				}
-				continue
-			}
-			if rec.ID == "" {
-				stats.CorruptLines++
-				continue
-			}
-			switch rec.Op {
-			case opSubmit:
-				if rec.Seq > stats.MaxSeq {
-					stats.MaxSeq = rec.Seq
-				}
-				if terminal[rec.ID] {
-					continue // terminal seen in an earlier segment
-				}
-				if _, ok := live[rec.ID]; ok {
-					continue // compaction duplicate; keep the first position
-				}
-				live[rec.ID] = rec
-				order = append(order, rec.ID)
-			case opDone, opFailed, opCanceled:
-				if _, ok := live[rec.ID]; ok {
-					delete(live, rec.ID)
-					stats.TerminalTasks++
-				}
-				terminal[rec.ID] = true
-			default:
-				stats.CorruptLines++
-			}
-		}
-		ferr := sc.Err()
+		corrupt, err := read(f, apply)
 		f.Close()
-		if ferr != nil {
-			return nil, stats, 0, fmt.Errorf("service: scanning journal segment %s: %w", name, ferr)
+		if err != nil {
+			return nil, stats, 0, fmt.Errorf("store: reading journal segment %s: %w", name, err)
 		}
+		stats.CorruptRecords += corrupt
 	}
-	recs := make([]journalRecord, 0, len(live))
+	recs := make([]JournalRecord, 0, len(live))
 	for _, id := range order {
 		if rec, ok := live[id]; ok {
 			recs = append(recs, rec)
 		}
 	}
-	stats.LiveSubmits = len(recs)
 	return recs, stats, maxSegSeq, nil
+}
+
+// readSegment feeds one framed segment's records to apply and returns
+// the walk's corrupt count. A CRC-clean payload that does not decode
+// goes to apply as corrupt. The payload is authoritative: the frame key
+// only repeats its ID.
+func readSegment(f *os.File, apply func(JournalRecord, bool)) (int, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	_, corrupt := walkFrames(f, info.Size(), true, func(fr frame) {
+		var rec JournalRecord
+		err := json.Unmarshal(fr.payload, &rec)
+		apply(rec, err == nil)
+	})
+	return corrupt, nil
+}
+
+// readLegacySegment feeds one JSONL segment (journal-%08d.wal), the
+// format journals were written in before they moved onto frames, to
+// apply: one JSON record a line, an unparsable line corrupt. Boot
+// compaction rewrites the live set framed and deletes the segment, so
+// it is read at most once.
+//
+// Legacy: delete this reader, and legacyJournalSuffix, next round.
+func readLegacySegment(f *os.File, apply func(JournalRecord, bool)) (int, error) {
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20) // reports are large specs
+	for sc.Scan() {
+		if len(sc.Bytes()) > 0 {
+			var rec JournalRecord
+			err := json.Unmarshal(sc.Bytes(), &rec)
+			apply(rec, err == nil)
+		}
+	}
+	return 0, sc.Err()
+}
+
+// appendRecord appends rec's frame to b.
+func appendRecord(b []byte, rec JournalRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return b, fmt.Errorf("store: encoding journal record: %w", err)
+	}
+	if !frameFits(rec.key(), len(payload)) {
+		return b, fmt.Errorf("store: journal record %q is %d bytes, past the frame bound", rec.key(), len(payload))
+	}
+	return appendFrame(b, rec.key(), payload), nil
 }
 
 // Append writes one record to the active segment and fsyncs it — the
 // write-ahead contract: when Append returns nil the record survives a
 // crash. It also maintains the live set and compacts when the active
 // segment outgrows its bound.
-func (j *Journal) Append(rec journalRecord) error {
+func (j *Journal) Append(rec JournalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return fmt.Errorf("service: journal closed")
+		return fmt.Errorf("store: journal closed")
 	}
 	start := time.Now()
 	err := j.appendLocked(rec)
@@ -289,10 +321,8 @@ func (j *Journal) Append(rec journalRecord) error {
 	}
 	j.met.appends.Inc()
 	switch rec.Op {
-	case opSubmit:
-		if rec.Seq > j.maxSeq {
-			j.maxSeq = rec.Seq
-		}
+	case OpSubmit:
+		j.maxSeq = max(j.maxSeq, rec.Seq)
 		if _, ok := j.live[rec.ID]; !ok {
 			j.live[rec.ID] = rec
 			j.liveOrder = append(j.liveOrder, rec.ID)
@@ -312,17 +342,16 @@ func (j *Journal) Append(rec journalRecord) error {
 	return nil
 }
 
-func (j *Journal) appendLocked(rec journalRecord) error {
-	b, err := json.Marshal(rec)
+func (j *Journal) appendLocked(rec JournalRecord) error {
+	b, err := appendRecord(nil, rec)
 	if err != nil {
-		return fmt.Errorf("service: encoding journal record: %w", err)
+		return err
 	}
-	b = append(b, '\n')
 	if _, err := j.seg.Write(b); err != nil {
-		return fmt.Errorf("service: appending journal record: %w", err)
+		return fmt.Errorf("store: appending journal record: %w", err)
 	}
 	if err := j.seg.Sync(); err != nil {
-		return fmt.Errorf("service: syncing journal: %w", err)
+		return fmt.Errorf("store: syncing journal: %w", err)
 	}
 	j.segBytes += int64(len(b))
 	return nil
@@ -332,31 +361,16 @@ func (j *Journal) appendLocked(rec journalRecord) error {
 // (write temp, fsync, rename — crash-safe at every step) and deletes the
 // older segments. j.mu must be held.
 func (j *Journal) compactLocked(segSeq int) error {
-	old, err := segmentNames(j.dir)
+	old, err := segmentNames(j.dir, journalSegPrefix, journalSegSuffix, legacyJournalSuffix)
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf(journalSegPattern, segSeq)
-	tmp, err := os.CreateTemp(j.dir, name+".tmp")
-	if err != nil {
-		return fmt.Errorf("service: creating journal segment: %w", err)
-	}
-	var size int64
-	w := bufio.NewWriter(tmp)
 	// The seq marker leads the segment: the ID-sequence floor must
 	// survive even when every submission that established it is gone.
+	var b []byte
 	if j.maxSeq > 0 {
-		b, err := json.Marshal(journalRecord{Op: opSeq, Seq: j.maxSeq, At: time.Now().UTC()})
-		if err == nil {
-			b = append(b, '\n')
-			if _, err = w.Write(b); err == nil {
-				size += int64(len(b))
-			}
-		}
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: writing journal seq marker: %w", err)
+		if b, err = appendRecord(b, JournalRecord{Op: opSeq, Seq: j.maxSeq, At: time.Now().UTC()}); err != nil {
+			return err
 		}
 	}
 	// Prune IDs whose records went terminal while in the order list.
@@ -367,36 +381,28 @@ func (j *Journal) compactLocked(segSeq int) error {
 			continue
 		}
 		kept = append(kept, id)
-		b, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: encoding journal record: %w", err)
+		if b, err = appendRecord(b, rec); err != nil {
+			return err
 		}
-		b = append(b, '\n')
-		if _, err := w.Write(b); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: writing journal segment: %w", err)
-		}
-		size += int64(len(b))
 	}
 	j.liveOrder = kept
-	if err := w.Flush(); err == nil {
+	name := fmt.Sprintf(journalSegPattern, segSeq)
+	tmp, err := os.CreateTemp(j.dir, name+".tmp")
+	if err != nil {
+		return fmt.Errorf("store: creating journal segment: %w", err)
+	}
+	if _, err = tmp.Write(b); err == nil {
 		err = tmp.Sync()
 	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(j.dir, name))
+	}
 	if err != nil {
-		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("service: flushing journal segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: closing journal segment: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(j.dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: publishing journal segment: %w", err)
+		return fmt.Errorf("store: writing journal segment: %w", err)
 	}
 	// The compacted segment is durable; the active handle moves to it in
 	// append mode and the superseded segments can go. A crash between the
@@ -407,11 +413,11 @@ func (j *Journal) compactLocked(segSeq int) error {
 	}
 	seg, err := os.OpenFile(filepath.Join(j.dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("service: reopening journal segment: %w", err)
+		return fmt.Errorf("store: reopening journal segment: %w", err)
 	}
 	j.seg = seg
 	j.segSeq = segSeq
-	j.segBytes = size
+	j.segBytes = int64(len(b))
 	j.met.compactions.Inc()
 	j.met.liveTasks.Set(int64(len(j.live)))
 	j.met.segmentBytes.Set(j.segBytes)

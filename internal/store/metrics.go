@@ -72,3 +72,30 @@ func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
 		corrupt:      reg.Counter("adasim_cache_corrupt_records_total", "Cache-segment records dropped: torn tails truncated at boot and CRC mismatches on read."),
 	}
 }
+
+// journalMetrics holds the journal's registry-backed counters, the
+// source of truth behind JournalStats and the adasim_journal_* series.
+type journalMetrics struct {
+	appends      *obs.Counter
+	appendErrors *obs.Counter
+	compactions  *obs.Counter
+	liveTasks    *obs.Gauge
+	segmentBytes *obs.Gauge
+	appendLat    *obs.Histogram
+}
+
+func newJournalMetrics(reg *obs.Registry) *journalMetrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &journalMetrics{
+		appends:      reg.Counter("adasim_journal_appends_total", "Durable journal appends."),
+		appendErrors: reg.Counter("adasim_journal_append_errors_total", "Failed journal appends and compactions."),
+		compactions:  reg.Counter("adasim_journal_compactions_total", "Journal segment compactions (rotations)."),
+		liveTasks:    reg.Gauge("adasim_journal_live_tasks", "Non-terminal submissions in the journal's live set."),
+		segmentBytes: reg.Gauge("adasim_journal_segment_bytes", "Size of the active journal segment."),
+		// An append is dominated by fsync: sub-millisecond to tens of ms.
+		appendLat: reg.Histogram("adasim_journal_append_seconds", "Journal append latency including the fsync.",
+			[]float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5}),
+	}
+}

@@ -1,21 +1,17 @@
 // The binary segment store: the disk tier of the result cache. It is
-// log-structured, the same shape as the task journal but binary, so a
-// disk hit is one pread and boot is one sequential pass per segment:
+// log-structured, like the task journal and in the same record frame
+// (frame.go), so a disk hit is one pread and boot is one sequential
+// pass per segment:
 //
 //   - entries append to a small set of segment files (cache-%08d.seg)
-//     as length-prefixed records:
-//
-//     u32 recLen | u32 keyLen | key | u32 crc32c(payload) | payload
-//
-//     recLen counts everything after itself, so a sequential scan can
-//     hop record to record without touching payload bytes;
+//     as frames keyed by the entry's content hash;
 //
 //   - an in-memory key -> (segment, offset, length) index is rebuilt at
 //     boot, from a compact index sidecar (cache-%08d.idx, written when a
-//     segment seals) when one matches the file, or by one sequential
-//     record scan when it does not. A torn tail — the residue of a crash
-//     mid-append — is truncated and counted, never fatal, exactly like
-//     the journal's torn final line;
+//     segment seals) when one matches the file, or by one header-only
+//     frame walk when it does not. A torn tail — the residue of a crash
+//     mid-append — is truncated and counted, never fatal, under the
+//     same rule as the journal's;
 //
 //   - payload integrity is a CRC-32C checked on read (not at boot, so
 //     index build stays a header walk): a failing record is dropped
@@ -46,15 +42,11 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -90,18 +82,7 @@ const (
 	// entries per segment — few enough open files for millions of
 	// entries, coarse enough for whole-segment GC to matter.
 	defaultCacheSegmentBytes = 16 << 20
-
-	// maxCacheKeyLen and maxCacheRecordBytes are scan sanity bounds: a
-	// header field past them is corruption, not a record.
-	maxCacheKeyLen      = 1024
-	maxCacheRecordBytes = 64 << 20
-
-	// segRecordOverhead is the per-record framing: recLen + keyLen +
-	// crc32c words.
-	segRecordOverhead = 12
 )
-
-var crcCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SegmentStoreStats is the /healthz snapshot of the segment store,
 // nested under CacheStats.Disk when the disk tier is enabled.
@@ -200,7 +181,7 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 		met:      met,
 		segs:     make(map[int]*cacheSegment),
 	}
-	names, err := cacheSegmentNames(dir)
+	names, err := segmentNames(dir, cacheSegPrefix, cacheSegSuffix)
 	if err != nil {
 		return nil, err
 	}
@@ -290,29 +271,13 @@ func openSegStore(dir string, segMax, maxBytes int64, met *cacheMetrics) (*segSt
 	return s, nil
 }
 
-// cacheSegmentNames lists the store's segment files in name order.
-func cacheSegmentNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: reading cache dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), cacheSegPrefix) && strings.HasSuffix(e.Name(), cacheSegSuffix) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 // indexRecord applies one boot record, already counted live in its
 // segment, to the index: a payload record is indexed, a tombstone (plen
 // 0) unindexes its key, and the record either displaces turns dead.
 // Boot-only.
 func (s *segStore) indexRecord(key string, ref segRef) {
 	if old, ok := s.index[key]; ok {
-		old.seg.live -= segRecordTotal(key, int(old.plen))
+		old.seg.live -= frameSize(key, int(old.plen))
 	}
 	if ref.plen == 0 {
 		delete(s.index, key)
@@ -321,65 +286,28 @@ func (s *segStore) indexRecord(key string, ref segRef) {
 	}
 }
 
-// scanSegment walks one segment's records with a single buffered
-// sequential pass: headers and keys are parsed in place in the
-// reader's buffer and payload bytes are discarded, never surfaced (CRC
-// verification happens per read; only a tombstone's is checked here) —
-// no per-record syscalls or copies. A torn or corrupt tail truncates
-// the segment at the last whole record and counts once. It fills
+// scanSegment walks one segment's frames header-only (CRC
+// verification happens per read; only a tombstone's is checked here). A
+// torn tail truncates the segment at the last whole frame. It fills
 // seg.keys/seg.refs for the caller's serial index merge and counts
 // every record live; the merge turns displaced ones dead. This is the
 // fallback path: sidecar-less segments only, i.e. the segment that was
 // active at a crash plus anything older than the sidecar format.
 func (s *segStore) scanSegment(seg *cacheSegment) error {
-	fileSize := seg.size // from the open-time stat
-	r := bufio.NewReaderSize(io.NewSectionReader(seg.f, 0, fileSize), 1<<20)
-	seg.keys = make([]string, 0, int(fileSize/400))
-	seg.refs = make([]segRef, 0, int(fileSize/400))
-	var off int64
-	torn := false
-	for off < fileSize {
-		hdr, err := r.Peek(8)
-		if err != nil {
-			torn = true
-			break
-		}
-		recLen := int64(binary.LittleEndian.Uint32(hdr))
-		keyLen := int64(binary.LittleEndian.Uint32(hdr[4:]))
-		if recLen < 9 || recLen > maxCacheRecordBytes ||
-			keyLen < 1 || keyLen > maxCacheKeyLen || keyLen+8 > recLen {
-			torn = true // header nonsense: treat the remainder as a torn tail
-			break
-		}
-		total := 4 + recLen
-		if off+total > fileSize {
-			torn = true
-			break
-		}
-		plen := recLen - keyLen - 8
-		rec, err := r.Peek(12 + int(keyLen)) // through the CRC word
-		if err != nil ||
-			plen == 0 && crc32.Checksum(rec[8:8+keyLen], crcCastagnoli) != binary.LittleEndian.Uint32(rec[8+keyLen:]) {
-			torn = true
-			break
-		}
-		key := string(rec[8 : 8+keyLen])
-		if _, err := r.Discard(int(total)); err != nil {
-			torn = true
-			break
-		}
-		seg.refs = append(seg.refs, segRef{seg: seg, off: off + 8 + keyLen, plen: int32(plen)})
-		seg.live += total
-		seg.keys = append(seg.keys, key)
-		off += total
-	}
-	if torn {
-		s.met.corrupt.Inc()
-		if err := seg.f.Truncate(off); err != nil {
+	seg.keys = make([]string, 0, int(seg.size/400))
+	seg.refs = make([]segRef, 0, int(seg.size/400))
+	end, corrupt := walkFrames(seg.f, seg.size, false, func(fr frame) {
+		seg.refs = append(seg.refs, segRef{seg: seg, off: fr.off + 8 + int64(len(fr.key)), plen: int32(fr.plen)})
+		seg.live += frameSize(fr.key, fr.plen)
+		seg.keys = append(seg.keys, fr.key)
+	})
+	s.met.corrupt.Add(uint64(corrupt))
+	if end < seg.size {
+		if err := seg.f.Truncate(end); err != nil {
 			return fmt.Errorf("store: truncating torn cache segment: %w", err)
 		}
 	}
-	seg.size = off
+	seg.size = end
 	return nil
 }
 
@@ -451,7 +379,7 @@ func (s *segStore) loadSidecar(seg *cacheSegment, buildRefs bool) bool {
 		roff := int64(binary.LittleEndian.Uint64(e[8:]))
 		// roff is bounded by seg.size before the sum, so a huge offset
 		// cannot overflow past the end check.
-		if keyLen < 1 || keyLen > maxCacheKeyLen ||
+		if keyLen < 1 || keyLen > maxKeyLen ||
 			roff < int64(keyLen)+8 || roff > seg.size || roff+4+plen > seg.size {
 			return false
 		}
@@ -483,7 +411,7 @@ func (s *segStore) loadSidecar(seg *cacheSegment, buildRefs bool) bool {
 		if buildRefs {
 			seg.refs = append(seg.refs, ref)
 		}
-		seg.live += segRecordTotal(key, int(ref.plen))
+		seg.live += frameSize(key, int(ref.plen))
 		s.indexRecord(key, ref)
 	}
 	return true
@@ -506,11 +434,6 @@ func (s *segStore) removeStraySidecars() {
 			os.Remove(path)
 		}
 	}
-}
-
-// segRecordTotal is the full on-disk size of a record.
-func segRecordTotal(key string, plen int) int64 {
-	return int64(segRecordOverhead + len(key) + plen)
 }
 
 // createSegment creates a fresh, empty segment file.
@@ -593,7 +516,7 @@ func (s *segStore) deleteKey(key string) {
 // indexing it again. s.mu must be held.
 func (s *segStore) unindexLocked(key string, ref segRef) {
 	delete(s.index, key)
-	ref.seg.live -= segRecordTotal(key, int(ref.plen))
+	ref.seg.live -= frameSize(key, int(ref.plen))
 	if !s.reclaimLocked(ref.seg) {
 		s.writeLocked(key, nil)
 	}
@@ -616,8 +539,7 @@ func (s *segStore) reclaimLocked(seg *cacheSegment) bool {
 // already indexed is a no-op. An empty payload would read back as a
 // tombstone and is refused. Failures are counted and swallowed.
 func (s *segStore) append(key string, payload []byte) {
-	if len(key) < 1 || len(key) > maxCacheKeyLen || len(payload) == 0 ||
-		segRecordTotal(key, len(payload)) > maxCacheRecordBytes {
+	if len(payload) == 0 || !frameFits(key, len(payload)) {
 		return
 	}
 	s.mu.Lock()
@@ -640,23 +562,14 @@ func (s *segStore) append(key string, payload []byte) {
 // tombstone for key when payload is empty. It reports where the record
 // landed and whether the write succeeded. s.mu must be held.
 func (s *segStore) writeLocked(key string, payload []byte) (segRef, bool) {
-	total := segRecordTotal(key, len(payload))
+	total := frameSize(key, len(payload))
 	if s.active.size > 0 && s.active.size+total > s.segMax && !s.rotateLocked() {
 		return segRef{}, false
-	}
-	crc := crc32.Checksum(payload, crcCastagnoli)
-	if len(payload) == 0 {
-		crc = crc32.Checksum([]byte(key), crcCastagnoli)
 	}
 	if cap(s.scratch) < int(total) {
 		s.scratch = make([]byte, 0, int(total))
 	}
-	b := s.scratch[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(total-4))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
-	b = append(b, key...)
-	b = binary.LittleEndian.AppendUint32(b, crc)
-	b = append(b, payload...)
+	b := appendFrame(s.scratch[:0], key, payload)
 	s.scratch = b[:0]
 	if _, err := s.active.f.WriteAt(b, s.active.size); err != nil {
 		// A partial tail write is overwritten by the next append (size

@@ -11,8 +11,8 @@
 #      uninterrupted reference daemon
 #
 # Exercises the full stack the Go tests cannot: a real process killed
-# by the OS, journal replay in main(), and the client talking to both
-# daemon generations.
+# by the OS, journal replay at the real daemon's boot, and the client
+# talking to both daemon generations.
 set -eu
 
 GO=${GO:-go}
