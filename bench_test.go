@@ -120,11 +120,11 @@ func TestClosedLoopRunAllocBudget(t *testing.T) {
 // overhead: a job whose every run is served from the in-memory result
 // cache measures pure dispatcher + plan + cache-lookup cost, with the
 // closed loop entirely out of the picture. Per-run fingerprinting goes
-// through the reused scratch encoder and executePlan's working slices
-// recycle through a pool, so the warm path must stay tight; the budget
-// only ever moves down.
+// through the reused scratch encoder, and an all-hit batch allocates no
+// miss list and calls no executor (experiments.Resolve), so the warm
+// path must stay tight; the budget only ever moves down.
 func TestServiceWarmJobAllocBudget(t *testing.T) {
-	const perRunBudget = 40 // observed ~15/run; was ~306 before the scratch/pool work
+	const perRunBudget = 40 // observed ~7/run; was ~306 before the scratch/pool work
 	d, err := service.NewDispatcher(service.Config{
 		Workers: 1, QueueSize: 16, CacheEntries: 1 << 10, Uninstrumented: true,
 	})

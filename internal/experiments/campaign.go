@@ -14,22 +14,6 @@ import (
 	"adasim/internal/scenario"
 )
 
-// Executor executes a batch of runs with index-ordered results. Pool is
-// the local implementation, shared by the CLIs, the campaign service,
-// and remote worker nodes; the service's worker hub wraps it to fan
-// batches out to remote workers. On error Execute still returns
-// len(reqs) outcomes, with the runs that succeeded filled in.
-type Executor interface {
-	Execute(reqs []RunRequest, onDone func(i int, ro RunOutcome)) ([]RunOutcome, error)
-}
-
-// Cache is a content-addressed per-run outcome store keyed by
-// RunFingerprint hashes. store.ResultCache implements it.
-type Cache interface {
-	Get(key string) (metrics.Outcome, bool)
-	Put(key string, out metrics.Outcome)
-}
-
 // Config are the campaign-level knobs shared by every experiment.
 type Config struct {
 	// Reps is the number of repetitions per configuration (10 in the
@@ -51,8 +35,9 @@ type Config struct {
 	// figures run on their long-lived pool.
 	Executor Executor
 	// Cache, when non-nil, short-circuits runs whose fingerprint is
-	// already stored and writes fresh outcomes back. Trace-recording runs
-	// and runs that cannot be fingerprinted (ML) always execute.
+	// already stored and writes fresh outcomes back (see Resolve).
+	// Trace-recording runs and runs that cannot be fingerprinted (ML)
+	// always execute.
 	Cache Cache
 }
 
@@ -140,57 +125,21 @@ func RunMatrix(cfg Config, fault fi.Params, iv core.InterventionSet, salt int64)
 }
 
 // execute resolves a planned batch through the config's executor and
-// cache: cached outcomes short-circuit, the rest fan out, and fresh
-// outcomes are written back. Results keep the request order, so the
-// output never depends on executor shard count or cache warmth. Runs
-// that record a trace, or that cannot be fingerprinted (ML), bypass the
-// cache lookup and always execute.
+// cache (see Resolve). Runs that record a trace, or that cannot be
+// fingerprinted (ML), get no cache key and always execute.
 func (c Config) execute(reqs []RunRequest) ([]RunOutcome, error) {
 	exec := c.Executor
 	if exec == nil {
 		exec = NewPool(c.Parallelism)
 	}
-	if c.Cache == nil {
-		return exec.Execute(reqs, nil)
-	}
-	outs := make([]RunOutcome, len(reqs))
-	var missed []int
-	var keys []string
 	var fp FingerprintScratch
-	for i, req := range reqs {
-		key := ""
-		if !req.Opts.RecordTrace {
-			if k, err := fp.Fingerprint(req.Opts); err == nil {
-				key = k
-			}
-		}
-		if key != "" {
-			if out, ok := c.Cache.Get(key); ok {
-				outs[i] = RunOutcome{Key: req.Key, Outcome: out}
-				continue
-			}
-		}
-		missed = append(missed, i)
-		keys = append(keys, key)
-	}
-	if len(missed) == 0 {
-		return outs, nil // fully cache-served: skip the executor fan-out
-	}
-	sub := make([]RunRequest, len(missed))
-	for j, i := range missed {
-		sub[j] = reqs[i]
-	}
-	fresh, err := exec.Execute(sub, nil)
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range missed {
-		outs[i] = fresh[j]
-		if keys[j] != "" {
-			c.Cache.Put(keys[j], fresh[j].Outcome)
+	for i := range reqs {
+		if !reqs[i].Opts.RecordTrace {
+			reqs[i].CacheKey, _ = fp.Fingerprint(reqs[i].Opts) // "" on error
 		}
 	}
-	return outs, nil
+	outs, _, _, err := Resolve(exec, c.Cache, reqs, nil)
+	return outs, err
 }
 
 // Outcomes strips run keys.

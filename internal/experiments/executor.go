@@ -57,11 +57,15 @@ func (r *Runner) Do(opts core.Options) (*core.Result, error) {
 	return r.p.Run(), nil
 }
 
-// RunRequest is one unit of executable campaign work: a run key plus the
-// fully resolved options (including the derived seed).
+// RunRequest is one unit of executable campaign work: a run key, the
+// fully resolved options (including the derived seed), and the
+// content-addressed cache key of the run's outcome (RunFingerprint).
+// An empty CacheKey marks the run uncacheable (trace-recording and ML
+// runs): Resolve always executes it and it never leaves the process.
 type RunRequest struct {
-	Key  RunKey
-	Opts core.Options
+	Key      RunKey
+	Opts     core.Options
+	CacheKey string
 }
 
 // ErrRunPanic marks a run that panicked. The panic is converted into a

@@ -60,8 +60,8 @@ func RunFingerprint(opts core.Options) (string, error) {
 
 // FingerprintScratch computes run fingerprints while reusing the
 // canonical-encode buffer across calls. RunFingerprint allocates the
-// encoder state per call; the batch call sites (campaign planning, the
-// remote worker's batch execute, the exploration engine) fingerprint
+// encoder state per call; the batch call sites (job planning, report
+// campaigns, the exploration engine) fingerprint
 // hundreds of runs back to back and keep one scratch per batch instead.
 // The zero value is ready; not safe for concurrent use.
 type FingerprintScratch struct {

@@ -1,0 +1,106 @@
+package experiments
+
+import (
+	"sync/atomic"
+
+	"adasim/internal/metrics"
+)
+
+// Executor executes a batch of runs with index-ordered results. Pool is
+// the local implementation, shared by the CLIs, the campaign service,
+// and remote worker nodes; the service's worker hub wraps it to fan
+// batches out to remote workers. On error Execute still returns
+// len(reqs) outcomes, with the runs that succeeded filled in.
+type Executor interface {
+	Execute(reqs []RunRequest, onDone func(i int, ro RunOutcome)) ([]RunOutcome, error)
+}
+
+// Cache is a content-addressed per-run outcome store keyed by
+// RunFingerprint hashes. store.ResultCache implements it.
+type Cache interface {
+	Get(key string) (metrics.Outcome, bool)
+	Put(key string, out metrics.Outcome)
+}
+
+// Resolve executes a batch cache-first, the one rule under campaign
+// jobs, report campaigns and explorations: every request that carries a
+// CacheKey is looked up, only the misses go to exec (which is not
+// called at all when every run hits), and each fresh outcome is written
+// back. A request with an empty CacheKey is uncacheable and always
+// executes. Outcomes keep the request order, so they never depend on
+// executor shard count or cache warmth. cache may be nil.
+//
+// When Execute fails, the runs that did finish are still written back
+// (a failed Execute returns one slot per request): a corrected
+// resubmission or an overlapping batch re-runs only what failed.
+// progress, when non-nil, receives (completed, hits) counted within
+// this call — after the lookups, per finished run from the executor's
+// goroutines, and at the end — so it must be safe for concurrent use.
+// Resolve returns the same two counts; on error it returns no outcomes
+// and counts the runs that finished.
+func Resolve(exec Executor, cache Cache, reqs []RunRequest, progress func(completed, hits int)) ([]RunOutcome, int, int, error) {
+	outs := make([]RunOutcome, len(reqs))
+	var missed []int
+	hits := 0
+	for i, req := range reqs {
+		if cache != nil && req.CacheKey != "" {
+			if out, ok := cache.Get(req.CacheKey); ok {
+				outs[i] = RunOutcome{Key: req.Key, Outcome: out}
+				hits++
+				continue
+			}
+		}
+		missed = append(missed, i)
+	}
+	if progress != nil {
+		progress(hits, hits)
+	}
+	if len(missed) == 0 {
+		return outs, hits, hits, nil
+	}
+	sub := reqs
+	if len(missed) < len(reqs) {
+		sub = make([]RunRequest, len(missed))
+		for j, i := range missed {
+			sub[j] = reqs[i]
+		}
+	}
+
+	// succeeded[j] records per-run completion: executors invoke onDone
+	// only for runs that finished without error. The slice is a per-call
+	// allocation, never pooled: an executor whose Execute fails (a
+	// cancellation tick, a batch exhausting its lease attempts) is not
+	// bound to have stopped every onDone by the time it returns. The
+	// flags are atomic and the slice is reachable only from this call,
+	// so such a late store is harmless — a pooled slice could have been
+	// recycled into another batch by then, and the stray store would
+	// mark one of its never-run requests as succeeded and Put a
+	// zero-value outcome under a real content hash. A flag observed true
+	// always guards a valid outcome: executors fill the result slot
+	// before invoking onDone.
+	succeeded := make([]atomic.Bool, len(sub))
+	var ran atomic.Int64
+	fresh, err := exec.Execute(sub, func(j int, _ RunOutcome) {
+		succeeded[j].Store(true)
+		n := int(ran.Add(1))
+		if progress != nil {
+			progress(hits+n, hits)
+		}
+	})
+	for j, i := range missed {
+		if err != nil && !succeeded[j].Load() {
+			continue
+		}
+		outs[i] = fresh[j]
+		if cache != nil && reqs[i].CacheKey != "" {
+			cache.Put(reqs[i].CacheKey, fresh[j].Outcome)
+		}
+	}
+	if err != nil {
+		return nil, hits + int(ran.Load()), hits, err
+	}
+	if progress != nil {
+		progress(len(reqs), hits)
+	}
+	return outs, len(reqs), hits, nil
+}

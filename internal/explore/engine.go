@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"adasim/internal/core"
 	"adasim/internal/experiments"
@@ -14,17 +13,6 @@ import (
 	"adasim/internal/scenario"
 	"adasim/internal/scengen"
 )
-
-// Executor executes a batch of runs with index-ordered results.
-// experiments.Pool implements it, in-process and in the campaign
-// service, where explorations share the daemon's long-lived platforms.
-// It is the canonical executor contract
-// shared by campaigns, explorations, and reports.
-type Executor = experiments.Executor
-
-// Cache is a content-addressed per-run outcome store keyed by
-// experiments.RunFingerprint hashes. store.ResultCache implements it.
-type Cache = experiments.Cache
 
 // ProbeResult pairs one probe's requested parameters (sampled axes
 // overlaid on the spec's fixed values; family defaults stay implicit)
@@ -80,10 +68,12 @@ type Stats struct {
 	CacheHits int
 }
 
-// Engine runs explorations against an executor and an optional cache.
+// Engine runs explorations against an executor (experiments.Pool
+// offline, the task runtime's run pool in the daemon) and an optional
+// cache.
 type Engine struct {
-	exec  Executor
-	cache Cache
+	exec  experiments.Executor
+	cache experiments.Cache
 	// Progress, when non-nil, is called with cumulative (completed,
 	// cacheHits) counts as probes finish. Calls arrive from the engine's
 	// goroutine between batches and from executor workers during them;
@@ -92,7 +82,7 @@ type Engine struct {
 }
 
 // New builds an engine. cache may be nil.
-func New(exec Executor, cache Cache) *Engine {
+func New(exec experiments.Executor, cache experiments.Cache) *Engine {
 	return &Engine{exec: exec, cache: cache}
 }
 
@@ -170,14 +160,12 @@ func merged(fixed map[string]float64, pt Point) Point {
 	return m
 }
 
-// evaluate resolves and executes one batch of probes: cached outcomes
-// short-circuit, the rest fan out over the executor, and fresh outcomes
-// are written back to the cache. Results are ordered by probe index.
+// evaluate resolves one batch of probes cache-first (see
+// experiments.Resolve) and adds its counts to stats. Results are
+// ordered by probe index.
 func (e *Engine) evaluate(fam *scengen.Family, spec Spec, pts []Point, stats *Stats) ([]ProbeResult, error) {
 	results := make([]ProbeResult, len(pts))
-	var reqs []experiments.RunRequest
-	var keys []string
-	var missed []int
+	reqs := make([]experiments.RunRequest, len(pts))
 	var fp experiments.FingerprintScratch
 	for i, pt := range pts {
 		params := merged(spec.Fixed, pt)
@@ -202,51 +190,27 @@ func (e *Engine) evaluate(fam *scengen.Family, spec Spec, pts []Point, stats *St
 			return nil, err
 		}
 		results[i].Params = params
-		if e.cache != nil {
-			if out, ok := e.cache.Get(key); ok {
-				results[i].Outcome = out
-				stats.Probes++
-				stats.CacheHits++
-				continue
-			}
+		reqs[i] = experiments.RunRequest{
+			Key:      experiments.RunKey{Scenario: scenario.IDGenerated, Gap: inst.Scenario.InitialGap, Rep: i},
+			Opts:     opts,
+			CacheKey: key,
 		}
-		missed = append(missed, i)
-		keys = append(keys, key)
-		reqs = append(reqs, experiments.RunRequest{
-			Key:  experiments.RunKey{Scenario: scenario.IDGenerated, Gap: inst.Scenario.InitialGap, Rep: i},
-			Opts: opts,
-		})
 	}
-	e.progress(stats)
-	var onDone func(int, experiments.RunOutcome)
+	var progress func(completed, hits int)
 	if e.Progress != nil {
-		// Per-probe progress inside the batch: cache hits are all
-		// counted above, so only the completed count moves.
-		base, hits := int64(stats.Probes), stats.CacheHits
-		var ran int64
-		onDone = func(int, experiments.RunOutcome) {
-			e.Progress(int(base+atomic.AddInt64(&ran, 1)), hits)
-		}
+		base, baseHits := stats.Probes, stats.CacheHits
+		progress = func(completed, hits int) { e.Progress(base+completed, baseHits+hits) }
 	}
-	outs, err := e.exec.Execute(reqs, onDone)
+	outs, completed, hits, err := experiments.Resolve(e.exec, e.cache, reqs, progress)
+	stats.Probes += completed
+	stats.CacheHits += hits
 	if err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
-	for j, i := range missed {
-		results[i].Outcome = outs[j].Outcome
-		stats.Probes++
-		if e.cache != nil {
-			e.cache.Put(keys[j], outs[j].Outcome)
-		}
+	for i, out := range outs {
+		results[i].Outcome = out.Outcome
 	}
-	e.progress(stats)
 	return results, nil
-}
-
-func (e *Engine) progress(stats *Stats) {
-	if e.Progress != nil {
-		e.Progress(stats.Probes, stats.CacheHits)
-	}
 }
 
 // runBoundary brackets the accident/no-accident frontier along one axis

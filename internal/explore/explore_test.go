@@ -253,7 +253,7 @@ func TestBoundaryUnbracketed(t *testing.T) {
 	}
 }
 
-// mapCache is a trivial Cache for engine tests.
+// mapCache is a trivial experiments.Cache for engine tests.
 type mapCache struct {
 	mu   sync.Mutex
 	m    map[string]metrics.Outcome

@@ -11,6 +11,7 @@ import (
 
 	"adasim/internal/core"
 	"adasim/internal/experiments"
+	"adasim/internal/explore"
 	"adasim/internal/store"
 )
 
@@ -252,5 +253,74 @@ func TestChaosCacheNeutrality(t *testing.T) {
 	}
 	if chaosExec.Injected.Load() != 1 {
 		t.Fatalf("executor injected %d faults, want 1", chaosExec.Injected.Load())
+	}
+}
+
+// TestFailedBatchWritesBackFinishedRuns: a report and an exploration
+// whose run fails part-way through a batch still cache the runs of that
+// batch that finished, so a resubmission is served exactly those runs
+// from the cache. The fault sits beneath the pool (a failing run, not a
+// ChaosExecutor, which fails a batch before any of its runs start).
+func TestFailedBatchWritesBackFinishedRuns(t *testing.T) {
+	grid := explore.Spec{
+		Family:        "cut-in",
+		Steps:         300,
+		BaseSeed:      5,
+		Interventions: core.InterventionSet{Driver: true},
+		Axes:          []explore.Axis{{Name: "trigger_gap", Min: 10, Max: 60, Points: 6}},
+	}
+	cases := []struct {
+		name string
+		kind *TaskKind
+		spec TaskSpec
+	}{
+		{"report", ReportKind, ReportTask{Spec: smallReportSpec()}},
+		{"exploration", ExplorationKind, ExplorationTask{Spec: grid}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var armed atomic.Bool
+			var calls, finished atomic.Int64
+			armed.Store(true)
+			run := func(r *experiments.Runner, opts core.Options) (*core.Result, error) {
+				if !armed.Load() {
+					return r.Do(opts)
+				}
+				if calls.Add(1) == 3 {
+					return nil, errors.New("injected run fault")
+				}
+				res, err := r.Do(opts)
+				if err == nil {
+					finished.Add(1)
+				}
+				return res, err
+			}
+			d := newChaosDispatcher(t, Config{Workers: 2, QueueSize: 4, CacheEntries: 1 << 12, RunRetries: -1}, run)
+
+			v, err := d.SubmitTask(tc.kind, tc.spec, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := finalViews(t, d, v.ID)[v.ID]; got.Status != StatusFailed {
+				t.Fatalf("first submission = %+v, want failed", got)
+			}
+			armed.Store(false)
+			want := finished.Load()
+			if want < 2 {
+				t.Fatalf("%d runs finished beside the failed one, want the rest of its batch", want)
+			}
+
+			v2, err := d.SubmitTask(tc.kind, tc.spec, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := finalViews(t, d, v2.ID)[v2.ID]
+			if got.Status != StatusDone {
+				t.Fatalf("resubmission = %+v, want done", got)
+			}
+			if int64(got.CacheHits) != want {
+				t.Errorf("resubmission cache_hits = %d, want the %d runs that finished", got.CacheHits, want)
+			}
+		})
 	}
 }

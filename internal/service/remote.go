@@ -28,7 +28,7 @@
 //     executed on the local run pool, so a coordinator never deadlocks
 //     on a departed fleet.
 //
-// Runs that cannot travel (trace-recording figure runs, ML runs whose
+// Runs without a cache key (trace-recording figure runs, ML runs whose
 // weights do not serialize) are partitioned out and always execute on
 // the local run pool.
 package service
@@ -75,13 +75,11 @@ type workerState struct {
 
 // runBatch is one leased unit of work: a contiguous index slice of a
 // remoteCall's request list, with the options pre-encoded for the lease
-// payload and the cache keys pre-fingerprinted for completion
-// write-back.
+// payload. Completion write-back uses the requests' own cache keys.
 type runBatch struct {
 	call     *remoteCall
 	idx      []int     // indexes into the owning call's request list
 	wire     []WireRun // lease payload (key + encoded options per run)
-	keys     []string  // content-addressed cache key per run
 	attempts int       // times leased (re-queues included)
 }
 
@@ -97,8 +95,11 @@ type lease struct {
 // remoteCall is the hub-side state of one Execute call: the
 // request-ordered result slots, the completion hooks, and the
 // outstanding-run count. All fields are guarded by the hub mutex except
-// done, which is closed exactly once under it.
+// done, which is closed exactly once under it, and deliverMu.
 type remoteCall struct {
+	// deliverMu serialises deliveries with failCall (see deliver). It
+	// is taken before the hub mutex, never while holding it.
+	deliverMu sync.Mutex
 	reqs      []experiments.RunRequest
 	outs      []experiments.RunOutcome
 	onDone    func(i int, ro experiments.RunOutcome)
@@ -392,12 +393,6 @@ func (h *workerHub) Complete(workerID, leaseID string, outcomes []metrics.Outcom
 	l.worker.batches++
 	l.worker.runs += int64(len(outcomes))
 	c := b.call
-	delivered := !c.abandoned
-	if delivered {
-		for j, i := range b.idx {
-			c.outs[i] = experiments.RunOutcome{Key: c.reqs[i].Key, Outcome: outcomes[j]}
-		}
-	}
 	h.mu.Unlock()
 
 	h.m.completions["ok"].Inc()
@@ -406,28 +401,40 @@ func (h *workerHub) Complete(workerID, leaseID string, outcomes []metrics.Outcom
 	// Write back through the shared content-addressed cache outside the
 	// hub lock (disk store writes). Abandoned calls still cache: the
 	// work is done and correct even if nobody is waiting for it.
-	for j, key := range b.keys {
-		h.cache.Put(key, outcomes[j])
+	ros := make([]experiments.RunOutcome, len(b.idx))
+	for j, i := range b.idx {
+		h.cache.Put(c.reqs[i].CacheKey, outcomes[j])
+		ros[j] = experiments.RunOutcome{Key: c.reqs[i].Key, Outcome: outcomes[j]}
 	}
-	if delivered {
-		// onDone before settle: on the success path every completion
-		// hook has run by the time the last settle releases the waiter.
-		// On the failure path there is no such guarantee — a failCall
-		// between the delivered check above and these hooks releases the
-		// waiter first, and this onDone fires after Execute returned.
-		// Hook state must therefore be per-call and atomic (executePlan's
-		// completion flags are exactly that), never recycled storage.
-		if c.onDone != nil {
-			for _, i := range b.idx {
-				h.mu.Lock()
-				ro := c.outs[i]
-				h.mu.Unlock()
-				c.onDone(i, ro)
-			}
-		}
-		h.settle(c, len(b.idx))
-	}
+	h.deliver(c, b.idx, ros)
 	return WorkerCompleteResponse{Accepted: true}, nil
+}
+
+// deliver lands a batch's outcomes in the call's result slots, runs
+// the completion hooks, and settles the runs; for an abandoned call it
+// does nothing. onDone runs before settle, so every hook has run by the
+// time the last settle releases the waiter. The call's deliverMu is
+// held throughout and failCall takes it too, so a call is never failed
+// mid-delivery: once failCall returns (and with it the waiting
+// execute), no hook starts.
+func (h *workerHub) deliver(c *remoteCall, idx []int, outs []experiments.RunOutcome) {
+	c.deliverMu.Lock()
+	defer c.deliverMu.Unlock()
+	h.mu.Lock()
+	if c.abandoned {
+		h.mu.Unlock()
+		return
+	}
+	for j, i := range idx {
+		c.outs[i] = outs[j]
+	}
+	h.mu.Unlock()
+	if c.onDone != nil {
+		for j, i := range idx {
+			c.onDone(i, outs[j])
+		}
+	}
+	h.settle(c, len(idx))
 }
 
 // settle decrements a call's outstanding-run count and closes it when
@@ -444,8 +451,10 @@ func (h *workerHub) settle(c *remoteCall, n int) {
 
 // failCall finishes a call with an error: pending batches are
 // withdrawn, late completions are demoted to cache-only, and the waiter
-// is released.
+// is released. It waits out a delivery in progress (see deliver).
 func (h *workerHub) failCall(c *remoteCall, err error) {
+	c.deliverMu.Lock()
+	defer c.deliverMu.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if c.finished {
@@ -521,22 +530,18 @@ func (h *workerHub) execute(reqs []experiments.RunRequest, onDone func(i int, ro
 	var remote []int
 	var localIdx []int
 	var wire []WireRun
-	var keys []string
-	var fp experiments.FingerprintScratch
 	for i, req := range reqs {
-		b, err := experiments.MarshalOptions(req.Opts)
-		if err != nil {
-			localIdx = append(localIdx, i) // trace/ML runs stay local
+		if req.CacheKey == "" {
+			localIdx = append(localIdx, i) // uncacheable (trace/ML) runs stay local
 			continue
 		}
-		key, err := fp.Fingerprint(req.Opts)
+		b, err := experiments.MarshalOptions(req.Opts)
 		if err != nil {
 			localIdx = append(localIdx, i)
 			continue
 		}
 		remote = append(remote, i)
 		wire = append(wire, WireRun{Key: req.Key, Opts: b})
-		keys = append(keys, key)
 	}
 	if len(remote) == 0 {
 		return local.Execute(reqs, onDone)
@@ -557,7 +562,6 @@ func (h *workerHub) execute(reqs []experiments.RunRequest, onDone func(i int, ro
 			call: call,
 			idx:  remote[at:end],
 			wire: wire[at:end],
-			keys: keys[at:end],
 		})
 	}
 
@@ -662,10 +666,8 @@ func (h *workerHub) reclaim(c *remoteCall) []*runBatch {
 }
 
 // runReclaimed executes reclaimed batches on the local executor and
-// delivers their outcomes exactly like a remote completion (minus
-// the cache write — the task layer caches fresh outcomes itself),
-// including the completion hooks running outside the lock after the
-// delivered check, with the same late-onDone caveat as Complete.
+// delivers their outcomes exactly like a remote completion, minus the
+// cache write: the task layer caches fresh outcomes itself.
 func (h *workerHub) runReclaimed(c *remoteCall, batches []*runBatch, local Executor) error {
 	var idx []int
 	for _, b := range batches {
@@ -681,22 +683,7 @@ func (h *workerHub) runReclaimed(c *remoteCall, batches []*runBatch, local Execu
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
-	delivered := !c.abandoned
-	if delivered {
-		for j, i := range idx {
-			c.outs[i] = louts[j]
-		}
-	}
-	h.mu.Unlock()
-	if delivered {
-		if c.onDone != nil {
-			for j, i := range idx {
-				c.onDone(i, louts[j])
-			}
-		}
-		h.settle(c, len(idx))
-	}
+	h.deliver(c, idx, louts)
 	return nil
 }
 

@@ -51,9 +51,14 @@ func hubReqs(t *testing.T, n int) []experiments.RunRequest {
 			Seed:          int64(1000 + i),
 			Steps:         120,
 		}
+		key, err := experiments.RunFingerprint(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		reqs[i] = experiments.RunRequest{
-			Key:  experiments.RunKey{Scenario: scenario.S1, Gap: 60, Rep: i},
-			Opts: opts,
+			Key:      experiments.RunKey{Scenario: scenario.S1, Gap: 60, Rep: i},
+			Opts:     opts,
+			CacheKey: key,
 		}
 	}
 	return reqs
@@ -489,6 +494,74 @@ func TestCanceledCallLateCompletionIsCacheOnly(t *testing.T) {
 		if out != outcomes[i] {
 			t.Errorf("run %d cached outcome diverges from the worker's result", i)
 		}
+	}
+}
+
+// TestLateDeliveryStartsNoHookAfterReturn: a completion whose first
+// hook is still running when the call is canceled must not start
+// another hook once execute has returned — a hook after the return
+// would move the progress of a task that already finished.
+func TestLateDeliveryStartsNoHookAfterReturn(t *testing.T) {
+	h := testHub(t, time.Second, 2)
+	w, err := h.Register("w", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := hubReqs(t, 2)
+
+	var stop, returned atomic.Bool
+	var hooks, late atomic.Int64
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan execResult, 1)
+	go func() {
+		outs, err := h.execute(reqs, func(int, experiments.RunOutcome) {
+			if returned.Load() {
+				late.Add(1)
+			}
+			if hooks.Add(1) == 1 {
+				close(entered)
+				<-release
+			}
+		}, experiments.NewPool(1), stop.Load)
+		returned.Store(true)
+		done <- execResult{outs, err}
+	}()
+
+	grant := leaseUntilGrant(t, h, w)
+	if len(grant.Runs) != 2 {
+		t.Fatalf("granted %d runs, want both in one lease", len(grant.Runs))
+	}
+	outcomes := executeGrant(t, grant)
+	completed := make(chan error, 1)
+	go func() {
+		_, err := h.Complete(w, grant.LeaseID, outcomes, "")
+		completed <- err
+	}()
+	<-entered
+
+	// Cancel while the first hook blocks; give execute several cancel
+	// ticks to return before the hook is let go.
+	stop.Store(true)
+	var res execResult
+	got := false
+	select {
+	case res = <-done:
+		got = true
+	case <-time.After(time.Second):
+	}
+	close(release)
+	if err := <-completed; err != nil {
+		t.Fatal(err)
+	}
+	if !got {
+		res = <-done
+	}
+	if res.err != nil && !errors.Is(res.err, ErrCanceled) {
+		t.Fatalf("execute err = %v, want nil or ErrCanceled", res.err)
+	}
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d completion hooks started after execute returned", n)
 	}
 }
 

@@ -181,15 +181,6 @@ func DecodeSpec(b []byte) (JobSpec, error) {
 	return spec, nil
 }
 
-// PlannedRun is one executable unit of a job: the run key, the fully
-// resolved platform options (including the derived seed), and the
-// content-addressed cache key of the run's outcome.
-type PlannedRun struct {
-	Key      experiments.RunKey
-	Opts     core.Options
-	CacheKey string
-}
-
 // Plan expands the normalized spec into its runs in the canonical
 // campaign order (scenario-major, then gap, then rep — the same order
 // experiments.RunMatrix uses). Cache keys are the canonical run
@@ -197,9 +188,9 @@ type PlannedRun struct {
 // a run's outcome and nothing else — so two jobs whose specs differ
 // (say, in rep count) still share cache entries for the runs they have
 // in common, and exploration probes share the same keyspace.
-func (s JobSpec) Plan() ([]PlannedRun, error) {
+func (s JobSpec) Plan() ([]experiments.RunRequest, error) {
 	keys := experiments.Keys(s.Scenarios, s.Gaps, s.Reps)
-	plan := make([]PlannedRun, len(keys))
+	plan := make([]experiments.RunRequest, len(keys))
 	var fp experiments.FingerprintScratch
 	for i, key := range keys {
 		opts := core.Options{
@@ -213,7 +204,7 @@ func (s JobSpec) Plan() ([]PlannedRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: fingerprinting run %v: %w", key, err)
 		}
-		plan[i] = PlannedRun{Key: key, Opts: opts, CacheKey: cacheKey}
+		plan[i] = experiments.RunRequest{Key: key, Opts: opts, CacheKey: cacheKey}
 	}
 	return plan, nil
 }
