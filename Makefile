@@ -26,9 +26,9 @@ test-race:
 # internal/store target is the boot path of both framed logs: it boots
 # the cache's disk tier on arbitrary segment and sidecar bytes (never
 # panic; every indexed read returns CRC-clean bytes or is dropped and
-# counted), and the task journal on the same bytes as a framed and as a
-# legacy JSONL segment (boot succeeds, and the compacted journal
-# replays to the same live set).
+# counted), and the task journal on the same bytes as a framed segment
+# (boot succeeds, and the compacted journal replays to the same live
+# set).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/explore
@@ -40,7 +40,7 @@ fuzz-smoke:
 # (the total), and enforces the ratchet gate: the total must not drop
 # below the COVERAGE.md snapshot minus one point (COVER_FLOOR). Raise
 # the floor when COVERAGE.md's snapshot moves up.
-COVER_FLOOR ?= 83.0
+COVER_FLOOR ?= 84.2
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1

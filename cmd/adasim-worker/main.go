@@ -20,12 +20,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"adasim/internal/obs"
 	"adasim/internal/worker"
 )
 
@@ -47,7 +47,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	logger, err := newLogger(*logLevel, *logFormat)
+	logger, err := obs.NewLogger(*logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -61,23 +61,6 @@ func run() error {
 		Logger:      logger,
 	})
 	return w.Run(ctx)
-}
-
-// newLogger builds the worker's stderr slog logger from the -log-level
-// and -log-format flags (the same vocabulary as adasimd).
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn, or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
 }
 
 // defaultName labels the worker with its hostname when -name is not

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -51,6 +50,7 @@ import (
 	"syscall"
 	"time"
 
+	"adasim/internal/obs"
 	"adasim/internal/service"
 )
 
@@ -84,7 +84,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	logger, err := newLogger(*logLevel, *logFormat)
+	logger, err := obs.NewLogger(*logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -156,23 +156,6 @@ func run() error {
 	}
 	logger.Info("drained, bye")
 	return nil
-}
-
-// newLogger builds the daemon's stderr slog logger from the -log-level
-// and -log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn, or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
 }
 
 // withPprof mounts the standard net/http/pprof handlers under

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"adasim/internal/fleet"
 	"adasim/internal/service"
 )
 
@@ -300,8 +301,8 @@ func readSSE(r io.Reader, fn func(service.TimelineEvent)) error {
 
 // Workers fetches the coordinator's remote-worker fleet view (the
 // GET /v1/workers summary and per-worker rows).
-func (c *Client) Workers() (service.WorkersResponse, error) {
-	var resp service.WorkersResponse
+func (c *Client) Workers() (fleet.WorkersResponse, error) {
+	var resp fleet.WorkersResponse
 	err := c.GetJSON("/v1/workers", &resp)
 	return resp, err
 }

@@ -1,6 +1,10 @@
-// Distributed execution: the coordinator side of the worker protocol.
+// Package fleet is the coordinator side of the worker protocol: the
+// lease table, the wire format, and the fleet metrics. The HTTP routes
+// that expose it live in internal/service; the worker node that speaks
+// it lives in internal/worker, which needs this package and the run
+// engine, nothing of the HTTP service.
 //
-// A workerHub makes the Executor contract network-transparent. Tasks
+// A Hub makes the Executor contract network-transparent. Tasks
 // still call Execute(reqs, onDone) exactly as before; when remote
 // workers are attached, the hub splits the run list into deterministic
 // index-ordered batches, leases them to long-polling workers
@@ -31,7 +35,7 @@
 // Runs without a cache key (trace-recording figure runs, ML runs whose
 // weights do not serialize) are partitioned out and always execute on
 // the local run pool.
-package service
+package fleet
 
 import (
 	"errors"
@@ -42,10 +46,12 @@ import (
 
 	"adasim/internal/experiments"
 	"adasim/internal/metrics"
-	"adasim/internal/store"
+	"adasim/internal/obs"
 )
 
-// Remote-execution sentinel errors.
+// Remote-execution sentinel errors. Their texts, like the hub's other
+// error texts, keep the "service:" prefix they carry on the wire in
+// worker-route error bodies and failed-task messages.
 var (
 	// ErrUnknownWorker means the worker ID is not registered (expired
 	// registrations included) — the worker must re-register.
@@ -113,11 +119,11 @@ type remoteCall struct {
 	done      chan struct{}
 }
 
-// workerHub is the coordinator's lease table: registered workers,
-// pending batches (FIFO), and granted leases, plus the janitor that
-// expires them.
-type workerHub struct {
-	cache     *store.ResultCache
+// Hub is the coordinator's lease table: registered workers, pending
+// batches (FIFO), and granted leases, plus the janitor that expires
+// them.
+type Hub struct {
+	cache     experiments.Cache
 	m         *workerMetrics
 	log       *slog.Logger
 	ttl       time.Duration
@@ -137,10 +143,13 @@ type workerHub struct {
 	janitorDone chan struct{}
 }
 
-func newWorkerHub(cache *store.ResultCache, m *workerMetrics, log *slog.Logger, ttl time.Duration, batchSize int) *workerHub {
-	h := &workerHub{
+// NewHub builds a hub that writes remote outcomes back through cache
+// and registers the fleet series in reg, then starts its janitor; Close
+// stops it.
+func NewHub(cache experiments.Cache, reg *obs.Registry, log *slog.Logger, ttl time.Duration, batchSize int) *Hub {
+	h := &Hub{
 		cache:       cache,
-		m:           m,
+		m:           newWorkerMetrics(reg),
 		log:         log,
 		ttl:         ttl,
 		batchSize:   batchSize,
@@ -156,7 +165,7 @@ func newWorkerHub(cache *store.ResultCache, m *workerMetrics, log *slog.Logger, 
 
 // janitor periodically expires overdue leases (re-queueing their
 // batches) and prunes workers silent past twice the TTL.
-func (h *workerHub) janitor() {
+func (h *Hub) janitor() {
 	defer close(h.janitorDone)
 	period := h.ttl / 4
 	if period < 2*time.Millisecond {
@@ -175,7 +184,7 @@ func (h *workerHub) janitor() {
 }
 
 // sweep is one janitor pass.
-func (h *workerHub) sweep(now time.Time) {
+func (h *Hub) sweep(now time.Time) {
 	h.mu.Lock()
 	var failed []*remoteCall
 	for id, l := range h.leases {
@@ -208,7 +217,7 @@ func (h *workerHub) sweep(now time.Time) {
 // waited longest) unless its owning call is abandoned or the batch has
 // exhausted its attempts, in which case the call to fail is returned
 // for the caller to finish outside the lock. h.mu must be held.
-func (h *workerHub) requeueLocked(b *runBatch, reason string) (failCall *remoteCall) {
+func (h *Hub) requeueLocked(b *runBatch, reason string) (failCall *remoteCall) {
 	if b.call.abandoned || b.call.finished {
 		return nil // nobody is waiting; drop the batch
 	}
@@ -222,7 +231,7 @@ func (h *workerHub) requeueLocked(b *runBatch, reason string) (failCall *remoteC
 }
 
 // Register admits a worker and returns its ID.
-func (h *workerHub) Register(name string, parallelism int) (string, error) {
+func (h *Hub) Register(name string, parallelism int) (string, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -242,7 +251,7 @@ func (h *workerHub) Register(name string, parallelism int) (string, error) {
 
 // Deregister removes a worker; its live leases are re-queued
 // immediately rather than waiting for expiry.
-func (h *workerHub) Deregister(workerID string) {
+func (h *Hub) Deregister(workerID string) {
 	h.mu.Lock()
 	w, ok := h.workers[workerID]
 	if !ok {
@@ -272,7 +281,7 @@ func (h *workerHub) Deregister(workerID string) {
 // grant, or an empty grant when wait elapses with nothing to do. The
 // wait is capped at the lease TTL so a parked worker refreshes its
 // liveness at least once per TTL.
-func (h *workerHub) Lease(workerID string, wait time.Duration) (WorkerLeaseResponse, error) {
+func (h *Hub) Lease(workerID string, wait time.Duration) (WorkerLeaseResponse, error) {
 	if wait <= 0 || wait > h.ttl {
 		wait = h.ttl
 	}
@@ -331,7 +340,7 @@ func (h *workerHub) Lease(workerID string, wait time.Duration) (WorkerLeaseRespo
 // liveness. It reports whether the lease is still live — a false return
 // tells the worker its lease expired (the batch is already re-queued)
 // and further work on it is wasted.
-func (h *workerHub) Heartbeat(workerID, leaseID string) (bool, error) {
+func (h *Hub) Heartbeat(workerID, leaseID string) (bool, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	w, ok := h.workers[workerID]
@@ -355,7 +364,7 @@ func (h *workerHub) Heartbeat(workerID, leaseID string) (bool, error) {
 // are acknowledged as duplicates; their outcomes still enter the
 // content-addressed cache, which makes re-execution and duplication
 // byte-invisible: equal keys hold equal outcomes.
-func (h *workerHub) Complete(workerID, leaseID string, outcomes []metrics.Outcome, workerErr string) (WorkerCompleteResponse, error) {
+func (h *Hub) Complete(workerID, leaseID string, outcomes []metrics.Outcome, workerErr string) (WorkerCompleteResponse, error) {
 	h.mu.Lock()
 	if w, ok := h.workers[workerID]; ok {
 		w.lastSeen = time.Now()
@@ -417,7 +426,7 @@ func (h *workerHub) Complete(workerID, leaseID string, outcomes []metrics.Outcom
 // held throughout and failCall takes it too, so a call is never failed
 // mid-delivery: once failCall returns (and with it the waiting
 // execute), no hook starts.
-func (h *workerHub) deliver(c *remoteCall, idx []int, outs []experiments.RunOutcome) {
+func (h *Hub) deliver(c *remoteCall, idx []int, outs []experiments.RunOutcome) {
 	c.deliverMu.Lock()
 	defer c.deliverMu.Unlock()
 	h.mu.Lock()
@@ -439,7 +448,7 @@ func (h *workerHub) deliver(c *remoteCall, idx []int, outs []experiments.RunOutc
 
 // settle decrements a call's outstanding-run count and closes it when
 // the last run lands.
-func (h *workerHub) settle(c *remoteCall, n int) {
+func (h *Hub) settle(c *remoteCall, n int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	c.remaining -= n
@@ -452,7 +461,7 @@ func (h *workerHub) settle(c *remoteCall, n int) {
 // failCall finishes a call with an error: pending batches are
 // withdrawn, late completions are demoted to cache-only, and the waiter
 // is released. It waits out a delivery in progress (see deliver).
-func (h *workerHub) failCall(c *remoteCall, err error) {
+func (h *Hub) failCall(c *remoteCall, err error) {
 	c.deliverMu.Lock()
 	defer c.deliverMu.Unlock()
 	h.mu.Lock()
@@ -469,7 +478,7 @@ func (h *workerHub) failCall(c *remoteCall, err error) {
 
 // withdrawLocked removes a call's batches from the pending queue.
 // h.mu must be held.
-func (h *workerHub) withdrawLocked(c *remoteCall) {
+func (h *Hub) withdrawLocked(c *remoteCall) {
 	kept := h.pending[:0]
 	for _, b := range h.pending {
 		if b.call != c {
@@ -485,7 +494,7 @@ func (h *workerHub) withdrawLocked(c *remoteCall) {
 // hasLiveWorkersLocked reports whether any registered worker has been
 // seen within the liveness horizon (2x TTL — a healthy worker long-
 // polls at least once per TTL). h.mu must be held.
-func (h *workerHub) hasLiveWorkersLocked() bool {
+func (h *Hub) hasLiveWorkersLocked() bool {
 	horizon := time.Now().Add(-2 * h.ttl)
 	for _, w := range h.workers {
 		if w.lastSeen.After(horizon) {
@@ -496,15 +505,15 @@ func (h *workerHub) hasLiveWorkersLocked() bool {
 }
 
 // HasLiveWorkers reports whether remote execution is currently possible.
-func (h *workerHub) HasLiveWorkers() bool {
+func (h *Hub) HasLiveWorkers() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return !h.closed && h.hasLiveWorkersLocked()
 }
 
-// close stops the hub: parked leases return ErrHubClosed, new
+// Close stops the hub: parked leases return ErrHubClosed, new
 // registrations are refused, and the janitor exits. Idempotent.
-func (h *workerHub) close() {
+func (h *Hub) Close() {
 	h.closeOnce.Do(func() {
 		h.mu.Lock()
 		h.closed = true
@@ -518,10 +527,11 @@ func (h *workerHub) close() {
 // execute is the remote execution path of one Executor.Execute call:
 // partition (wire-eligible vs local-only), batch, enqueue, and wait.
 // The local-only partition runs concurrently on the local executor.
-// Cancellation is polled on the wait ticker; on cancel the pending
-// batches are withdrawn and ErrCanceled returned with the partial
-// (request-ordered) results, matching the local executor's contract.
-func (h *workerHub) execute(reqs []experiments.RunRequest, onDone func(i int, ro experiments.RunOutcome), local Executor, canceled func() bool) ([]experiments.RunOutcome, error) {
+// The cancel check is polled on the wait ticker; once it returns an
+// error the pending batches are withdrawn and that error returned with
+// the partial (request-ordered) results, matching the local executor's
+// contract.
+func (h *Hub) execute(reqs []experiments.RunRequest, onDone func(i int, ro experiments.RunOutcome), local experiments.Executor, check func() error) ([]experiments.RunOutcome, error) {
 	call := &remoteCall{
 		reqs: reqs,
 		outs: make([]experiments.RunOutcome, len(reqs)),
@@ -613,9 +623,11 @@ wait:
 		case <-call.done:
 			break wait
 		case <-tick.C:
-			if canceled != nil && canceled() {
-				h.failCall(call, ErrCanceled)
-				break wait
+			if check != nil {
+				if err := check(); err != nil {
+					h.failCall(call, err)
+					break wait
+				}
 			}
 			// Fleet gone: reclaim this call's still-pending batches and
 			// run them on the local executor. Leased batches of a dead
@@ -643,7 +655,7 @@ wait:
 
 // reclaim removes and returns a call's pending batches when no live
 // worker is left to lease them.
-func (h *workerHub) reclaim(c *remoteCall) []*runBatch {
+func (h *Hub) reclaim(c *remoteCall) []*runBatch {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.hasLiveWorkersLocked() {
@@ -668,7 +680,7 @@ func (h *workerHub) reclaim(c *remoteCall) []*runBatch {
 // runReclaimed executes reclaimed batches on the local executor and
 // delivers their outcomes exactly like a remote completion, minus the
 // cache write: the task layer caches fresh outcomes itself.
-func (h *workerHub) runReclaimed(c *remoteCall, batches []*runBatch, local Executor) error {
+func (h *Hub) runReclaimed(c *remoteCall, batches []*runBatch, local experiments.Executor) error {
 	var idx []int
 	for _, b := range batches {
 		idx = append(idx, b.idx...)
@@ -687,21 +699,27 @@ func (h *workerHub) runReclaimed(c *remoteCall, batches []*runBatch, local Execu
 	return nil
 }
 
-// remoteExecutor is the Executor the dispatcher hands tasks: Execute
+// Executor returns the Executor a coordinator hands a task: Execute
 // goes remote when live workers are attached and runs on local (the
 // run pool, bound to the task's cancel check) otherwise, so a
-// coordinator with no fleet behaves exactly like a single node.
+// coordinator with no fleet behaves exactly like a single node. check
+// is the same cancel check local is bound to; a remote call polls it
+// and returns its error.
+func (h *Hub) Executor(local experiments.Executor, check func() error) experiments.Executor {
+	return remoteExecutor{hub: h, local: local, check: check}
+}
+
 type remoteExecutor struct {
-	hub      *workerHub
-	local    Executor
-	canceled func() bool
+	hub   *Hub
+	local experiments.Executor
+	check func() error
 }
 
 func (re remoteExecutor) Execute(reqs []experiments.RunRequest, onDone func(i int, ro experiments.RunOutcome)) ([]experiments.RunOutcome, error) {
 	if !re.hub.HasLiveWorkers() {
 		return re.local.Execute(reqs, onDone)
 	}
-	return re.hub.execute(reqs, onDone, re.local, re.canceled)
+	return re.hub.execute(reqs, onDone, re.local, re.check)
 }
 
 // WorkerFleetStats is the /healthz (and /v1/workers) fleet summary,
@@ -716,7 +734,7 @@ type WorkerFleetStats struct {
 }
 
 // FleetStats snapshots the fleet counters.
-func (h *workerHub) FleetStats() WorkerFleetStats {
+func (h *Hub) FleetStats() WorkerFleetStats {
 	var requeued uint64
 	for _, c := range h.m.requeued {
 		requeued += c.Value()
@@ -744,7 +762,7 @@ type WorkerInfo struct {
 }
 
 // Workers lists the registered workers sorted by ID.
-func (h *workerHub) Workers() []WorkerInfo {
+func (h *Hub) Workers() []WorkerInfo {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := time.Now()

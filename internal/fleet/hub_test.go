@@ -1,14 +1,13 @@
 // Worker-protocol failure modes, exercised at the hub level: lease
 // expiry re-queue, failed-completion re-queue, duplicate-completion
 // idempotency, attempt exhaustion, fleet-departure reclaim, and
-// drain-with-attached-workers. The fake workers here drive the hub's Go
+// the abandoned-call contract. The fake workers here drive the hub's Go
 // API directly (Register/Lease/Complete — exactly what the HTTP
-// handlers call); the end-to-end loopback-worker tests live in
-// internal/worker, which owns the real client loop.
-package service
+// handlers in internal/service call); the end-to-end loopback-worker
+// tests live in internal/worker, which owns the real client loop.
+package fleet
 
 import (
-	"context"
 	"errors"
 	"log/slog"
 	"strings"
@@ -27,16 +26,48 @@ import (
 
 // testHub builds a hub with a tiny TTL so janitor-driven failure paths
 // run in milliseconds.
-func testHub(t *testing.T, ttl time.Duration, batch int) *workerHub {
+func testHub(t *testing.T, ttl time.Duration, batch int) *Hub {
 	t.Helper()
 	cache, err := store.NewResultCache(256, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newWorkerHub(cache, newWorkerMetrics(obs.NewRegistry()),
-		slog.New(slog.DiscardHandler), ttl, batch)
-	t.Cleanup(h.close)
+	h := NewHub(cache, obs.NewRegistry(), slog.New(slog.DiscardHandler), ttl, batch)
+	t.Cleanup(h.Close)
 	return h
+}
+
+// errCanceled is what the tests' cancel check returns once stop is set,
+// standing in for the dispatcher's ErrCanceled.
+var errCanceled = errors.New("test: call canceled")
+
+// cancelOn is a cancel check that fails once stop is set.
+func cancelOn(stop *atomic.Bool) func() error {
+	return func() error {
+		if stop.Load() {
+			return errCanceled
+		}
+		return nil
+	}
+}
+
+// failingExecutor fails a whole batch, before any of its runs start,
+// when fail returns an error for one of them; injected counts the
+// failed batches.
+type failingExecutor struct {
+	inner    experiments.Executor
+	fail     func(experiments.RunRequest) error
+	injected atomic.Int64
+}
+
+func (fe *failingExecutor) Execute(reqs []experiments.RunRequest, onDone func(int, experiments.RunOutcome)) ([]experiments.RunOutcome, error) {
+	for _, req := range reqs {
+		if err := fe.fail(req); err != nil {
+			fe.injected.Add(1)
+			return make([]experiments.RunOutcome, len(reqs)), err
+		}
+	}
+	return fe.inner.Execute(reqs, onDone)
 }
 
 // hubReqs builds n remote-eligible run requests.
@@ -95,7 +126,7 @@ func directOuts(t *testing.T, reqs []experiments.RunRequest) []experiments.RunOu
 }
 
 // leaseUntilGrant polls Lease until a batch is granted.
-func leaseUntilGrant(t *testing.T, h *workerHub, workerID string) WorkerLeaseResponse {
+func leaseUntilGrant(t *testing.T, h *Hub, workerID string) WorkerLeaseResponse {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -118,10 +149,10 @@ type execResult struct {
 	err  error
 }
 
-func startExecute(h *workerHub, reqs []experiments.RunRequest, local Executor, canceled func() bool) chan execResult {
+func startExecute(h *Hub, reqs []experiments.RunRequest, local experiments.Executor, check func() error) chan execResult {
 	ch := make(chan execResult, 1)
 	go func() {
-		outs, err := h.execute(reqs, nil, local, canceled)
+		outs, err := h.execute(reqs, nil, local, check)
 		ch <- execResult{outs, err}
 	}()
 	return ch
@@ -383,41 +414,6 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
-// TestDrainWithAttachedWorkers: draining a dispatcher with a worker
-// parked in a long poll completes promptly, and the parked lease is
-// released with ErrHubClosed so the worker backs off and exits.
-func TestDrainWithAttachedWorkers(t *testing.T) {
-	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 4, CacheEntries: 16})
-	w, err := d.hub.Register("parked", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaseErr := make(chan error, 1)
-	go func() {
-		_, err := d.hub.Lease(w, 10*time.Second)
-		leaseErr <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the poll park
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := d.Drain(ctx); err != nil {
-		t.Fatalf("drain with attached worker: %v", err)
-	}
-	select {
-	case err := <-leaseErr:
-		if !errors.Is(err, ErrHubClosed) {
-			t.Errorf("parked lease err = %v, want ErrHubClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("parked lease never released by drain")
-	}
-	// A worker arriving after drain is refused outright.
-	if _, err := d.hub.Register("late", 1); !errors.Is(err, ErrHubClosed) {
-		t.Errorf("post-drain register err = %v, want ErrHubClosed", err)
-	}
-}
-
 // TestRemoteExecutorFallsBackWithNoWorkers pins the degraded mode: a
 // hub with no registered workers routes everything through the local
 // executor and tasks behave exactly as single-node.
@@ -454,7 +450,7 @@ func TestCanceledCallLateCompletionIsCacheOnly(t *testing.T) {
 	go func() {
 		outs, err := h.execute(reqs, func(int, experiments.RunOutcome) {
 			hookCalls.Add(1)
-		}, experiments.NewPool(1), stop.Load)
+		}, experiments.NewPool(1), cancelOn(&stop))
 		done <- execResult{outs, err}
 	}()
 
@@ -465,8 +461,8 @@ func TestCanceledCallLateCompletionIsCacheOnly(t *testing.T) {
 	// reports back.
 	stop.Store(true)
 	res := <-done
-	if !errors.Is(res.err, ErrCanceled) {
-		t.Fatalf("execute err = %v, want ErrCanceled", res.err)
+	if !errors.Is(res.err, errCanceled) {
+		t.Fatalf("execute err = %v, want the cancel check's error", res.err)
 	}
 
 	resp, err := h.Complete(w, grant.LeaseID, outcomes, "")
@@ -523,7 +519,7 @@ func TestLateDeliveryStartsNoHookAfterReturn(t *testing.T) {
 				close(entered)
 				<-release
 			}
-		}, experiments.NewPool(1), stop.Load)
+		}, experiments.NewPool(1), cancelOn(&stop))
 		returned.Store(true)
 		done <- execResult{outs, err}
 	}()
@@ -557,8 +553,8 @@ func TestLateDeliveryStartsNoHookAfterReturn(t *testing.T) {
 	if !got {
 		res = <-done
 	}
-	if res.err != nil && !errors.Is(res.err, ErrCanceled) {
-		t.Fatalf("execute err = %v, want nil or ErrCanceled", res.err)
+	if res.err != nil && !errors.Is(res.err, errCanceled) {
+		t.Fatalf("execute err = %v, want nil or the cancel check's error", res.err)
 	}
 	if n := late.Load(); n != 0 {
 		t.Errorf("%d completion hooks started after execute returned", n)
@@ -579,9 +575,9 @@ func TestLocalPartitionFailureDuringRemoteCall(t *testing.T) {
 	reqs := hubReqs(t, 3)
 	reqs[2].Opts.RecordTrace = true // trace runs never travel: local-only
 	wantErr := errors.New("injected local run fault")
-	local := &ChaosExecutor{
-		Inner: experiments.NewPool(1),
-		FailRun: func(req experiments.RunRequest) error {
+	local := &failingExecutor{
+		inner: experiments.NewPool(1),
+		fail: func(req experiments.RunRequest) error {
 			if req.Opts.RecordTrace {
 				return wantErr
 			}
@@ -596,7 +592,7 @@ func TestLocalPartitionFailureDuringRemoteCall(t *testing.T) {
 	}
 	// Hold the lease until the local partition has failed.
 	deadline := time.Now().Add(5 * time.Second)
-	for local.Injected.Load() == 0 {
+	for local.injected.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("local partition never ran")
 		}

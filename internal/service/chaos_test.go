@@ -12,6 +12,7 @@ import (
 	"adasim/internal/core"
 	"adasim/internal/experiments"
 	"adasim/internal/explore"
+	"adasim/internal/metrics"
 	"adasim/internal/store"
 )
 
@@ -323,4 +324,66 @@ func TestFailedBatchWritesBackFinishedRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ChaosExecutor wraps an Executor and fails selected runs before they
+// reach the inner executor. A nil FailRun makes it a transparent
+// pass-through.
+type ChaosExecutor struct {
+	Inner Executor
+	// FailRun, when non-nil, is consulted once per run request; a
+	// non-nil error fails the whole batch with that error, without any
+	// run executing (the len(reqs) outcomes returned are all zero, per
+	// the Executor contract).
+	FailRun func(req experiments.RunRequest) error
+
+	// Injected counts the faults actually delivered.
+	Injected atomic.Int64
+}
+
+// Execute implements Executor.
+func (ce *ChaosExecutor) Execute(reqs []experiments.RunRequest, onDone func(i int, ro experiments.RunOutcome)) ([]experiments.RunOutcome, error) {
+	for _, req := range reqs {
+		if ce.FailRun != nil {
+			if err := ce.FailRun(req); err != nil {
+				ce.Injected.Add(1)
+				return make([]experiments.RunOutcome, len(reqs)), err
+			}
+		}
+	}
+	return ce.Inner.Execute(reqs, onDone)
+}
+
+// ChaosCache wraps a Cache with drop-style faults: a failed Get is a
+// miss, a failed Put is silently discarded. Both are correctness-
+// neutral by the cache contract (the cache is an accelerator), which is
+// exactly what the byte-identity tests exercise.
+type ChaosCache struct {
+	Inner Cache
+	// FailGet, when non-nil and returning true, turns that Get into a
+	// miss without consulting the inner cache.
+	FailGet func(key string) bool
+	// FailPut, when non-nil and returning true, drops that Put.
+	FailPut func(key string) bool
+
+	// Injected counts the faults actually delivered.
+	Injected atomic.Int64
+}
+
+// Get implements Cache.
+func (cc *ChaosCache) Get(key string) (metrics.Outcome, bool) {
+	if cc.FailGet != nil && cc.FailGet(key) {
+		cc.Injected.Add(1)
+		return metrics.Outcome{}, false
+	}
+	return cc.Inner.Get(key)
+}
+
+// Put implements Cache.
+func (cc *ChaosCache) Put(key string, out metrics.Outcome) {
+	if cc.FailPut != nil && cc.FailPut(key) {
+		cc.Injected.Add(1)
+		return
+	}
+	cc.Inner.Put(key, out)
 }

@@ -16,6 +16,7 @@ import (
 
 	"adasim/internal/core"
 	"adasim/internal/experiments"
+	"adasim/internal/fleet"
 	"adasim/internal/metrics"
 	"adasim/internal/obs"
 	"adasim/internal/store"
@@ -184,7 +185,7 @@ type Dispatcher struct {
 	pool *experiments.Pool
 	// hub is the remote-worker lease table; always present (a hub with
 	// no registered workers is inert and every task runs on the pool).
-	hub      *workerHub
+	hub      *fleet.Hub
 	journal  *store.Journal
 	recovery *RecoveryStats
 
@@ -252,7 +253,7 @@ func newDispatcher(cfg Config, run func(*experiments.Runner, core.Options) (*cor
 		d.lane[class] = sync.NewCond(&d.mu)
 	}
 	d.pool = experiments.NewPoolWith(cfg.Workers, d.m.poolOptions(cfg.RunRetries, run))
-	d.hub = newWorkerHub(cache, newWorkerMetrics(cfg.Metrics), cfg.Logger, cfg.LeaseTTL, cfg.WorkerBatch)
+	d.hub = fleet.NewHub(cache, cfg.Metrics, cfg.Logger, cfg.LeaseTTL, cfg.WorkerBatch)
 	if cfg.JournalDir != "" {
 		j, recs, stats, err := store.OpenJournal(cfg.JournalDir, 0, cfg.Metrics)
 		if err != nil {
@@ -659,7 +660,7 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 	}
 	// Both lanes have returned, so no task is executing: every run and
 	// remote batch a task started has settled.
-	d.hub.close()
+	d.hub.Close()
 	if d.journal != nil {
 		d.journal.Close()
 	}
@@ -757,23 +758,18 @@ func (d *Dispatcher) scheduler(class PriorityClass) {
 // transition is journaled (for done tasks, with a fingerprint of the
 // wire-shaped result) so a restart never replays finished work.
 func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
-	canceled := func() bool {
-		return t.cancel.Load() || d.halted.Load()
+	check := func() error {
+		if t.cancel.Load() || d.halted.Load() {
+			return ErrCanceled
+		}
+		return nil
 	}
 	env := TaskEnv{
-		// The remote executor fans batches to attached workers and
+		// The hub's executor fans batches to attached workers and
 		// degrades to the pool when none are live. The pool checks for
-		// cancellation before it starts each run.
-		Exec: remoteExecutor{
-			hub: d.hub,
-			local: d.pool.Bind(claim, func() error {
-				if canceled() {
-					return ErrCanceled
-				}
-				return nil
-			}),
-			canceled: canceled,
-		},
+		// cancellation before it starts each run; a remote call polls
+		// the same check while it waits.
+		Exec:  d.hub.Executor(d.pool.Bind(claim, check), check),
 		Cache: d.cache,
 		Progress: func(completed, cacheHits int) {
 			// Progress callbacks arrive concurrently from run

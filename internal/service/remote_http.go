@@ -1,9 +1,9 @@
-// HTTP surface of the worker protocol. Workers speak four POST verbs —
-// register, lease (long-poll), heartbeat, complete — plus deregister
-// for a graceful exit; operators read the fleet via GET /v1/workers.
-// All bodies are JSON, decoded strictly: a worker and coordinator of
-// incompatible versions must fail loudly, not half-understand each
-// other.
+// HTTP surface of the worker protocol (internal/fleet). Workers speak
+// four POST verbs — register, lease (long-poll), heartbeat, complete —
+// plus deregister for a graceful exit; operators read the fleet via GET
+// /v1/workers. All bodies are JSON, decoded strictly: a worker and
+// coordinator of incompatible versions must fail loudly, not
+// half-understand each other.
 package service
 
 import (
@@ -15,93 +15,8 @@ import (
 	"net/http"
 	"time"
 
-	"adasim/internal/experiments"
-	"adasim/internal/metrics"
+	"adasim/internal/fleet"
 )
-
-// WorkerRegisterRequest announces a worker to the coordinator.
-type WorkerRegisterRequest struct {
-	// Name is a free-form operator label (hostname, pod name); the
-	// coordinator assigns the identifying worker ID itself.
-	Name string `json:"name,omitempty"`
-	// Parallelism is the worker's local pool size, advertised for the
-	// fleet view only — lease sizing is the coordinator's choice.
-	Parallelism int `json:"parallelism,omitempty"`
-}
-
-// WorkerRegisterResponse carries the assigned worker ID and the lease
-// TTL the worker must heartbeat within.
-type WorkerRegisterResponse struct {
-	WorkerID  string `json:"worker_id"`
-	TTLMillis int64  `json:"lease_ttl_ms"`
-}
-
-// WorkerLeaseRequest long-polls for a batch. WaitMillis caps how long
-// the coordinator may park the request; it is clamped to the lease TTL
-// so a parked worker still refreshes its liveness every TTL.
-type WorkerLeaseRequest struct {
-	WorkerID   string `json:"worker_id"`
-	WaitMillis int64  `json:"wait_ms,omitempty"`
-}
-
-// WireRun is one run of a leased batch: its campaign key (for worker
-// logs) and its options in the canonical wire encoding (see
-// experiments.MarshalOptions).
-type WireRun struct {
-	Key  experiments.RunKey `json:"key"`
-	Opts json.RawMessage    `json:"opts"`
-}
-
-// WorkerLeaseResponse is a granted batch — or, with an empty LeaseID,
-// "no work yet, poll again".
-type WorkerLeaseResponse struct {
-	LeaseID   string    `json:"lease_id,omitempty"`
-	TTLMillis int64     `json:"ttl_ms,omitempty"`
-	Runs      []WireRun `json:"runs,omitempty"`
-}
-
-// WorkerHeartbeatRequest extends a lease mid-batch.
-type WorkerHeartbeatRequest struct {
-	WorkerID string `json:"worker_id"`
-	LeaseID  string `json:"lease_id"`
-}
-
-// WorkerHeartbeatResponse reports whether the lease is still live. A
-// false Live means it expired and was re-queued: the worker should
-// abandon the batch — completing it anyway is harmless (duplicate), but
-// wasted.
-type WorkerHeartbeatResponse struct {
-	Live bool `json:"live"`
-}
-
-// WorkerCompleteRequest settles a lease: the outcomes in lease-run
-// order, or a worker-side error that re-queues the batch.
-type WorkerCompleteRequest struct {
-	WorkerID string            `json:"worker_id"`
-	LeaseID  string            `json:"lease_id"`
-	Outcomes []metrics.Outcome `json:"outcomes,omitempty"`
-	Error    string            `json:"error,omitempty"`
-}
-
-// WorkerCompleteResponse acknowledges a completion. Duplicate marks a
-// completion for a lease the coordinator no longer holds (expired and
-// re-executed, already completed, or drained) — idempotently accepted.
-type WorkerCompleteResponse struct {
-	Accepted  bool `json:"accepted"`
-	Duplicate bool `json:"duplicate,omitempty"`
-}
-
-// WorkerDeregisterRequest announces a graceful departure; the worker's
-// live leases are re-queued immediately.
-type WorkerDeregisterRequest struct {
-	WorkerID string `json:"worker_id"`
-}
-
-// WorkersResponse is the GET /v1/workers fleet view.
-type WorkersResponse struct {
-	Fleet   WorkerFleetStats `json:"fleet"`
-	Workers []WorkerInfo     `json:"workers"`
-}
 
 // decodeWorkerBody strictly decodes a worker-protocol request body.
 func decodeWorkerBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -125,9 +40,9 @@ func decodeWorkerBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // exit), anything else 400.
 func writeWorkerError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrUnknownWorker):
+	case errors.Is(err, fleet.ErrUnknownWorker):
 		writeError(w, http.StatusGone, err)
-	case errors.Is(err, ErrHubClosed):
+	case errors.Is(err, fleet.ErrHubClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
 	default:
 		writeError(w, http.StatusBadRequest, err)
@@ -135,7 +50,7 @@ func writeWorkerError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
-	var req WorkerRegisterRequest
+	var req fleet.WorkerRegisterRequest
 	if !decodeWorkerBody(w, r, &req) {
 		return
 	}
@@ -144,14 +59,14 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 		writeWorkerError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, WorkerRegisterResponse{
+	writeJSON(w, http.StatusOK, fleet.WorkerRegisterResponse{
 		WorkerID:  id,
 		TTLMillis: s.d.cfg.LeaseTTL.Milliseconds(),
 	})
 }
 
 func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
-	var req WorkerLeaseRequest
+	var req fleet.WorkerLeaseRequest
 	if !decodeWorkerBody(w, r, &req) {
 		return
 	}
@@ -168,7 +83,7 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req WorkerHeartbeatRequest
+	var req fleet.WorkerHeartbeatRequest
 	if !decodeWorkerBody(w, r, &req) {
 		return
 	}
@@ -177,11 +92,11 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeWorkerError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, WorkerHeartbeatResponse{Live: live})
+	writeJSON(w, http.StatusOK, fleet.WorkerHeartbeatResponse{Live: live})
 }
 
 func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
-	var req WorkerCompleteRequest
+	var req fleet.WorkerCompleteRequest
 	if !decodeWorkerBody(w, r, &req) {
 		return
 	}
@@ -194,7 +109,7 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
-	var req WorkerDeregisterRequest
+	var req fleet.WorkerDeregisterRequest
 	if !decodeWorkerBody(w, r, &req) {
 		return
 	}
@@ -206,7 +121,7 @@ func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) 
 func millisDuration(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }
 
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, WorkersResponse{
+	writeJSON(w, http.StatusOK, fleet.WorkersResponse{
 		Fleet:   s.d.hub.FleetStats(),
 		Workers: s.d.hub.Workers(),
 	})

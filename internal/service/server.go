@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"adasim/internal/experiments"
+	"adasim/internal/fleet"
 	"adasim/internal/metrics"
 	"adasim/internal/scenario"
 	"adasim/internal/scengen"
@@ -200,7 +201,7 @@ type HealthResponse struct {
 	Cache        store.CacheStats          `json:"cache"`
 	// RemoteWorkers summarizes the attached worker fleet: connected
 	// workers, live leases, and the lease/re-queue counters.
-	RemoteWorkers WorkerFleetStats `json:"remote_workers"`
+	RemoteWorkers fleet.WorkerFleetStats `json:"remote_workers"`
 	// Journal and Recovery are present only when the daemon runs with a
 	// task journal (-journal-dir): the journal's live-set and error
 	// counters, and what the last boot replayed.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"adasim/internal/core"
 	"adasim/internal/experiments"
 	"adasim/internal/fi"
+	"adasim/internal/fleet"
 	"adasim/internal/scenario"
 )
 
@@ -394,5 +396,40 @@ func TestScenariosEndpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resp.DefaultGaps, scenario.InitialGaps()) {
 		t.Errorf("default gaps = %v", resp.DefaultGaps)
+	}
+}
+
+// TestDrainWithAttachedWorkers: draining a dispatcher with a worker
+// parked in a long poll completes promptly, and the parked lease is
+// released with ErrHubClosed so the worker backs off and exits.
+func TestDrainWithAttachedWorkers(t *testing.T) {
+	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 4, CacheEntries: 16})
+	w, err := d.hub.Register("parked", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaseErr := make(chan error, 1)
+	go func() {
+		_, err := d.hub.Lease(w, 10*time.Second)
+		leaseErr <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the poll park
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := d.Drain(ctx); err != nil {
+		t.Fatalf("drain with attached worker: %v", err)
+	}
+	select {
+	case err := <-leaseErr:
+		if !errors.Is(err, fleet.ErrHubClosed) {
+			t.Errorf("parked lease err = %v, want ErrHubClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("parked lease never released by drain")
+	}
+	// A worker arriving after drain is refused outright.
+	if _, err := d.hub.Register("late", 1); !errors.Is(err, fleet.ErrHubClosed) {
+		t.Errorf("post-drain register err = %v, want ErrHubClosed", err)
 	}
 }

@@ -140,24 +140,18 @@ func walkFrames(f io.ReaderAt, size int64, payloads bool, fn func(frame)) (end i
 	return end, corrupt
 }
 
-// segmentNames lists the segment files in dir named prefix*suffix, for
-// any of the suffixes, in name order: for zero-padded sequence numbers,
-// the order they were written in.
-func segmentNames(dir, prefix string, suffixes ...string) ([]string, error) {
+// segmentNames lists the segment files in dir named prefix*suffix, in
+// name order: for zero-padded sequence numbers, the order they were
+// written in.
+func segmentNames(dir, prefix, suffix string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading %s: %w", dir, err)
 	}
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), prefix) {
-			continue
-		}
-		for _, suffix := range suffixes {
-			if strings.HasSuffix(e.Name(), suffix) {
-				names = append(names, e.Name())
-				break
-			}
+		if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) && strings.HasSuffix(e.Name(), suffix) {
+			names = append(names, e.Name())
 		}
 	}
 	sort.Strings(names)

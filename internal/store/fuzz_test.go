@@ -14,7 +14,7 @@ import (
 // FuzzSegmentStoreOpen fuzzes the boot path of both logs that share
 // the record frame. Each input becomes the cache segment store's only
 // segment file (and, optionally, its index sidecar), and the task
-// journal's only segment, framed and legacy JSONL in turn.
+// journal's only segment.
 //
 // The cache half: openSegStore rebuilds the index and every indexed
 // key is read back. Nothing may panic; every index entry must lie
@@ -28,7 +28,7 @@ import (
 // set with nothing corrupt.
 //
 // The corpus is seeded from a real store of a few records, one of them
-// dropped (a tombstone), and from a framed and a legacy journal.
+// dropped (a tombstone), and from a framed journal, whole and torn.
 func FuzzSegmentStoreOpen(f *testing.F) {
 	seed := f.TempDir()
 	s, err := openSegStore(seed, 0, 0, newCacheMetrics(nil))
@@ -64,8 +64,8 @@ func FuzzSegmentStoreOpen(f *testing.F) {
 	badTomb := append([]byte(nil), seg...)
 	badTomb[len(badTomb)-1] ^= 0xff
 	f.Add(badTomb, []byte(nil), false)
-	// A journal of submits, a terminal record and a seq marker, framed
-	// and as legacy JSONL.
+	// A journal of submits, a terminal record and a seq marker, whole
+	// and with a torn final frame.
 	recs := []JournalRecord{
 		{Op: opSeq, Seq: 3},
 		testRecord(OpSubmit, "j000004", 4),
@@ -79,11 +79,10 @@ func FuzzSegmentStoreOpen(f *testing.F) {
 		}
 	}
 	f.Add(framed, []byte(nil), false)
-	f.Add(legacyJSONL(f, recs...), []byte(nil), false)
+	f.Add(framed[:len(framed)-3], []byte(nil), false)
 
 	f.Fuzz(func(t *testing.T, segBytes, idxBytes []byte, withIdx bool) {
 		checkJournalBoot(t, fmt.Sprintf(journalSegPattern, 1), segBytes)
-		checkJournalBoot(t, fmt.Sprintf("journal-%08d%s", 1, legacyJournalSuffix), segBytes)
 
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(cacheSegPattern, 1)), segBytes, 0o644); err != nil {

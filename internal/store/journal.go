@@ -22,12 +22,10 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -142,9 +140,6 @@ const (
 	journalSegPrefix  = "journal-"
 	journalSegPattern = "journal-%08d.seg"
 	journalSegSuffix  = ".seg"
-	// legacyJournalSuffix names the JSONL segments written before the
-	// journal moved onto frames; see readLegacySegment.
-	legacyJournalSuffix = ".wal"
 )
 
 // OpenJournal opens (creating if needed) the journal at dir, replays the
@@ -178,7 +173,7 @@ func OpenJournal(dir string, maxBytes int64, reg *obs.Registry) (*Journal, []Jou
 	// Compact on open: boot is the one moment the live set is known to be
 	// exactly the replayed records, so the rewritten segment both bounds
 	// the journal and proves the directory is writable before any
-	// submission is accepted. It also retires any legacy JSONL segment.
+	// submission is accepted.
 	if err := j.compactLocked(maxSegSeq + 1); err != nil {
 		return nil, nil, stats, err
 	}
@@ -192,7 +187,17 @@ func OpenJournal(dir string, maxBytes int64, reg *obs.Registry) (*Journal, []Jou
 // away) and a duplicate submit (compaction overlap after an
 // interrupted cleanup) are ignored.
 func replaySegments(dir string) ([]JournalRecord, ReplayStats, int, error) {
-	names, err := segmentNames(dir, journalSegPrefix, journalSegSuffix, legacyJournalSuffix)
+	// A JSONL segment from before the journal moved onto frames may
+	// hold acknowledged submissions that this version cannot replay:
+	// refuse to boot rather than compact them away.
+	legacy, err := segmentNames(dir, journalSegPrefix, ".wal")
+	if err != nil {
+		return nil, ReplayStats{}, 0, err
+	}
+	if len(legacy) > 0 {
+		return nil, ReplayStats{}, 0, fmt.Errorf("store: journal segment %s is pre-frame JSONL, which this version no longer reads; boot it once with an older release to rewrite it", filepath.Join(dir, legacy[0]))
+	}
+	names, err := segmentNames(dir, journalSegPrefix, journalSegSuffix)
 	if err != nil {
 		return nil, ReplayStats{}, 0, err
 	}
@@ -229,15 +234,11 @@ func replaySegments(dir string) ([]JournalRecord, ReplayStats, int, error) {
 		if _, err := fmt.Sscanf(name, journalSegPrefix+"%d", &segSeq); err == nil {
 			maxSegSeq = max(maxSegSeq, segSeq)
 		}
-		read := readSegment
-		if strings.HasSuffix(name, legacyJournalSuffix) {
-			read = readLegacySegment
-		}
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			return nil, stats, 0, fmt.Errorf("store: opening journal segment: %w", err)
 		}
-		corrupt, err := read(f, apply)
+		corrupt, err := readSegment(f, apply)
 		f.Close()
 		if err != nil {
 			return nil, stats, 0, fmt.Errorf("store: reading journal segment %s: %w", name, err)
@@ -268,26 +269,6 @@ func readSegment(f *os.File, apply func(JournalRecord, bool)) (int, error) {
 		apply(rec, err == nil)
 	})
 	return corrupt, nil
-}
-
-// readLegacySegment feeds one JSONL segment (journal-%08d.wal), the
-// format journals were written in before they moved onto frames, to
-// apply: one JSON record a line, an unparsable line corrupt. Boot
-// compaction rewrites the live set framed and deletes the segment, so
-// it is read at most once.
-//
-// Legacy: delete this reader, and legacyJournalSuffix, next round.
-func readLegacySegment(f *os.File, apply func(JournalRecord, bool)) (int, error) {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20) // reports are large specs
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			var rec JournalRecord
-			err := json.Unmarshal(sc.Bytes(), &rec)
-			apply(rec, err == nil)
-		}
-	}
-	return 0, sc.Err()
 }
 
 // appendRecord appends rec's frame to b.
@@ -361,7 +342,7 @@ func (j *Journal) appendLocked(rec JournalRecord) error {
 // (write temp, fsync, rename — crash-safe at every step) and deletes the
 // older segments. j.mu must be held.
 func (j *Journal) compactLocked(segSeq int) error {
-	old, err := segmentNames(j.dir, journalSegPrefix, journalSegSuffix, legacyJournalSuffix)
+	old, err := segmentNames(j.dir, journalSegPrefix, journalSegSuffix)
 	if err != nil {
 		return err
 	}

@@ -259,70 +259,29 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
-// legacyJSONL renders records as a JSONL segment in the format journals
-// were written in before they moved onto frames.
-func legacyJSONL(t testing.TB, recs ...JournalRecord) []byte {
-	t.Helper()
-	var b []byte
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = append(append(b, line...), '\n')
-	}
-	return b
-}
-
-// TestJournalLegacyJSONLBoots pins the one-time upgrade: a directory of
-// JSONL segments boots, its live submits come back in submission order
-// with the sequence floor, a torn final line is counted, and after the
-// boot the directory holds only the framed segment, which replays the
-// same live set.
-func TestJournalLegacyJSONLBoots(t *testing.T) {
+// TestJournalRefusesLegacySegment: a JSONL segment from before the
+// journal moved onto frames may hold acknowledged submissions, so boot
+// fails with an error naming it and leaves the directory untouched.
+func TestJournalRefusesLegacySegment(t *testing.T) {
 	dir := t.TempDir()
-	seg1 := legacyJSONL(t,
-		testRecord(OpSubmit, "j000001", 1),
-		testRecord(OpSubmit, "j000002", 2),
-		testRecord(OpSubmit, "j000003", 3),
-	)
-	seg2 := legacyJSONL(t,
-		JournalRecord{Op: OpDone, ID: "j000002", At: time.Now().UTC()},
-		testRecord(OpSubmit, "j000004", 4),
-		testRecord(OpSubmit, "j000005", 5),
-		JournalRecord{Op: OpCanceled, ID: "j000005", At: time.Now().UTC()},
-	)
-	seg2 = append(seg2, `{"op":"submit","id":"j0000`...)
-	for i, seg := range [][]byte{seg1, seg2} {
-		name := fmt.Sprintf("journal-%08d%s", i+1, legacyJournalSuffix)
-		if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	seg, err := json.Marshal(testRecord(OpSubmit, "j000001", 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	j, recs, stats := openTestJournal(t, dir, 0)
-	want := []string{"j000001", "j000003", "j000004"}
-	if ids := liveIDs(recs); fmt.Sprint(ids) != fmt.Sprint(want) {
-		t.Fatalf("live IDs = %v, want %v", ids, want)
+	legacy := filepath.Join(dir, "journal-00000001.wal")
+	if err := os.WriteFile(legacy, append(seg, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if stats.Segments != 2 || stats.TerminalTasks != 2 || stats.CorruptRecords != 1 || stats.MaxSeq != 5 {
-		t.Fatalf("replay stats = %+v", stats)
+	j, _, _, err := OpenJournal(dir, 0, nil)
+	if err == nil {
+		j.Close()
+		t.Fatal("journal booted over a JSONL segment")
 	}
-	if string(recs[0].Spec) != `{"scenarios":[1]}` || recs[0].Kind != "jobs" {
-		t.Fatalf("legacy record did not round-trip: %+v", recs[0])
+	if !strings.Contains(err.Error(), legacy) {
+		t.Errorf("boot error %q does not name %s", err, legacy)
 	}
-	names := journalFiles(t, dir)
-	if len(names) != 1 || names[0] != fmt.Sprintf(journalSegPattern, 3) {
-		t.Fatalf("files after legacy boot = %v, want only %s", names, fmt.Sprintf(journalSegPattern, 3))
-	}
-	j.Close()
-
-	_, recs, stats = openTestJournal(t, dir, 0)
-	if ids := liveIDs(recs); fmt.Sprint(ids) != fmt.Sprint(want) {
-		t.Fatalf("live IDs after framed reboot = %v, want %v", ids, want)
-	}
-	if stats.CorruptRecords != 0 || stats.MaxSeq != 5 {
-		t.Fatalf("framed reboot stats = %+v", stats)
+	if names := journalFiles(t, dir); len(names) != 1 || names[0] != filepath.Base(legacy) {
+		t.Errorf("files after refused boot = %v, want only the JSONL segment", names)
 	}
 }
 

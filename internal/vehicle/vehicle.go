@@ -193,7 +193,18 @@ func (d *Dynamics) Step(cmd Command, in StepInput) State {
 	return st
 }
 
+// wrapAngle maps a heading into (-π, π]. Within ±3π, where every
+// closed-loop heading lies, it steps by 2π. Past that, a step may not
+// move a at all (1e308 - 2π == 1e308, and ±Inf never changes), so it
+// reduces with math.Remainder instead, which returns NaN for ±Inf.
 func wrapAngle(a float64) float64 {
+	if math.Abs(a) > 3*math.Pi {
+		r := math.Remainder(a, 2*math.Pi)
+		if r <= -math.Pi {
+			r += 2 * math.Pi
+		}
+		return r
+	}
 	for a > math.Pi {
 		a -= 2 * math.Pi
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"adasim/internal/units"
 )
@@ -244,5 +245,60 @@ func TestStepCachesBitIdentical(t *testing.T) {
 	d.SetState(st)
 	if d.SinPsi() != math.Sin(-0.3) || d.Revision() == revs {
 		t.Errorf("SetState: SinPsi %v (want %v), revision %d (was %d)", d.SinPsi(), math.Sin(-0.3), d.Revision(), revs)
+	}
+}
+
+// wrapAngleLoop is wrapAngle as it was before huge headings were
+// reduced: the reference every in-range heading must match bit for bit.
+func wrapAngleLoop(a float64) float64 {
+	for a > math.Pi {
+		a -= 2 * math.Pi
+	}
+	for a <= -math.Pi {
+		a += 2 * math.Pi
+	}
+	return a
+}
+
+// wrapAngleWithin runs wrapAngle(a) under a deadline, so that a
+// heading the wrap cannot reduce fails the test instead of hanging it.
+func wrapAngleWithin(t *testing.T, a float64) float64 {
+	t.Helper()
+	got := make(chan float64, 1)
+	go func() { got <- wrapAngle(a) }()
+	select {
+	case r := <-got:
+		return r
+	case <-time.After(2 * time.Second):
+		t.Fatalf("wrapAngle(%g) did not return", a)
+		return 0
+	}
+}
+
+// TestWrapAngle pins the heading wrap: huge and infinite headings
+// return (a finite heading into (-π, π], ±Inf as NaN) instead of
+// looping forever, and every heading in (-3π, 3π] wraps bit-equal to
+// the stepping loop, so no recorded outcome moves.
+func TestWrapAngle(t *testing.T) {
+	for _, a := range []float64{1e308, -1e308, 1e17, 3*math.Pi + 1e-9, -3*math.Pi - 1e-9} {
+		r := wrapAngleWithin(t, a)
+		if math.IsNaN(r) || r <= -math.Pi || r > math.Pi {
+			t.Errorf("wrapAngle(%g) = %g, want a heading in (-π, π]", a, r)
+		}
+	}
+	for _, a := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if r := wrapAngleWithin(t, a); !math.IsNaN(r) {
+			t.Errorf("wrapAngle(%g) = %g, want NaN", a, r)
+		}
+	}
+	sweep := []float64{-math.Pi, math.Pi, 3 * math.Pi, math.Nextafter(-3*math.Pi, 0), 0, -0.0}
+	const n = 20000
+	for i := 1; i <= n; i++ {
+		sweep = append(sweep, -3*math.Pi+6*math.Pi*float64(i)/n)
+	}
+	for _, a := range sweep {
+		if got, want := wrapAngleWithin(t, a), wrapAngleLoop(a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("wrapAngle(%v) = %v, stepping loop gives %v", a, got, want)
+		}
 	}
 }

@@ -28,8 +28,8 @@ import (
 	"time"
 
 	"adasim/internal/experiments"
+	"adasim/internal/fleet"
 	"adasim/internal/metrics"
-	"adasim/internal/service"
 )
 
 // Config shapes a worker node.
@@ -51,9 +51,8 @@ type Config struct {
 	// HTTP is the underlying HTTP client; nil means a default client
 	// with no global timeout (lease calls are long polls).
 	HTTP *http.Client
-	// Executor overrides the local execution engine — the chaos tests'
-	// injection point (service.ChaosExecutor satisfies it). Nil means
-	// experiments.NewPool(Parallelism).
+	// Executor overrides the local execution engine — the fault tests'
+	// injection point. Nil means experiments.NewPool(Parallelism).
 	Executor experiments.Executor
 }
 
@@ -154,13 +153,13 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // serve executes one leased batch and reports its completion, renewing
 // the lease with heartbeats while the batch runs.
-func (w *Worker) serve(ctx context.Context, grant service.WorkerLeaseResponse) {
+func (w *Worker) serve(ctx context.Context, grant fleet.WorkerLeaseResponse) {
 	w.log.Info("lease granted", "lease", grant.LeaseID, "runs", len(grant.Runs))
 	stopHeartbeat := w.heartbeatLoop(ctx, grant)
 	outcomes, execErr := w.executeBatch(grant.Runs)
 	stopHeartbeat()
 
-	req := service.WorkerCompleteRequest{
+	req := fleet.WorkerCompleteRequest{
 		WorkerID: w.ID(),
 		LeaseID:  grant.LeaseID,
 		Outcomes: outcomes,
@@ -170,7 +169,7 @@ func (w *Worker) serve(ctx context.Context, grant service.WorkerLeaseResponse) {
 		req.Error = execErr.Error()
 		w.log.Warn("batch failed", "lease", grant.LeaseID, "err", execErr)
 	}
-	var resp service.WorkerCompleteResponse
+	var resp fleet.WorkerCompleteResponse
 	for attempt := 0; ; attempt++ {
 		_, err := w.post(ctx, "/v1/worker/complete", req, &resp)
 		if err == nil {
@@ -190,7 +189,7 @@ func (w *Worker) serve(ctx context.Context, grant service.WorkerLeaseResponse) {
 
 // executeBatch decodes a lease's runs and executes them on the local
 // pool, returning the outcomes in lease-run order.
-func (w *Worker) executeBatch(runs []service.WireRun) ([]metrics.Outcome, error) {
+func (w *Worker) executeBatch(runs []fleet.WireRun) ([]metrics.Outcome, error) {
 	reqs := make([]experiments.RunRequest, len(runs))
 	for i, run := range runs {
 		opts, err := experiments.UnmarshalOptions(run.Opts)
@@ -215,7 +214,7 @@ func (w *Worker) executeBatch(runs []service.WireRun) ([]metrics.Outcome, error)
 // really expired the completion will come back Duplicate, and if the
 // coordinator is gone the completion will fail too — both are handled
 // there.
-func (w *Worker) heartbeatLoop(ctx context.Context, grant service.WorkerLeaseResponse) (stop func()) {
+func (w *Worker) heartbeatLoop(ctx context.Context, grant fleet.WorkerLeaseResponse) (stop func()) {
 	ttl := time.Duration(grant.TTLMillis) * time.Millisecond
 	period := ttl / 3
 	if period <= 0 {
@@ -235,8 +234,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, grant service.WorkerLeaseRes
 			case <-ctx.Done():
 				return
 			case <-tick.C:
-				var resp service.WorkerHeartbeatResponse
-				req := service.WorkerHeartbeatRequest{WorkerID: w.ID(), LeaseID: grant.LeaseID}
+				var resp fleet.WorkerHeartbeatResponse
+				req := fleet.WorkerHeartbeatRequest{WorkerID: w.ID(), LeaseID: grant.LeaseID}
 				if _, err := w.post(ctx, "/v1/worker/heartbeat", req, &resp); err != nil {
 					w.log.Warn("heartbeat failed", "lease", grant.LeaseID, "err", err)
 				} else if !resp.Live {
@@ -254,10 +253,10 @@ func (w *Worker) heartbeatLoop(ctx context.Context, grant service.WorkerLeaseRes
 // register announces the worker, retrying with backoff until the
 // coordinator accepts or ctx ends.
 func (w *Worker) register(ctx context.Context) error {
-	req := service.WorkerRegisterRequest{Name: w.cfg.Name, Parallelism: w.cfg.Parallelism}
+	req := fleet.WorkerRegisterRequest{Name: w.cfg.Name, Parallelism: w.cfg.Parallelism}
 	backoff := backoffBase
 	for {
-		var resp service.WorkerRegisterResponse
+		var resp fleet.WorkerRegisterResponse
 		_, err := w.post(ctx, "/v1/worker/register", req, &resp)
 		if err == nil {
 			w.mu.Lock()
@@ -285,7 +284,7 @@ func (w *Worker) deregister() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := w.post(ctx, "/v1/worker/deregister", service.WorkerDeregisterRequest{WorkerID: id}, nil); err != nil {
+	if _, err := w.post(ctx, "/v1/worker/deregister", fleet.WorkerDeregisterRequest{WorkerID: id}, nil); err != nil {
 		w.log.Warn("deregister failed (coordinator will prune by TTL)", "err", err)
 	} else {
 		w.log.Info("deregistered", "worker", id)
@@ -293,9 +292,9 @@ func (w *Worker) deregister() {
 }
 
 // lease long-polls for the next batch.
-func (w *Worker) lease(ctx context.Context) (service.WorkerLeaseResponse, int, error) {
-	req := service.WorkerLeaseRequest{WorkerID: w.ID(), WaitMillis: w.leaseWait().Milliseconds()}
-	var resp service.WorkerLeaseResponse
+func (w *Worker) lease(ctx context.Context) (fleet.WorkerLeaseResponse, int, error) {
+	req := fleet.WorkerLeaseRequest{WorkerID: w.ID(), WaitMillis: w.leaseWait().Milliseconds()}
+	var resp fleet.WorkerLeaseResponse
 	status, err := w.post(ctx, "/v1/worker/lease", req, &resp)
 	return resp, status, err
 }

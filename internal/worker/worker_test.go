@@ -235,21 +235,12 @@ func TestWorkerCrashMidBatchRecovers(t *testing.T) {
 		Workers: 2, QueueSize: 16, CacheEntries: 1024,
 		WorkerBatch: 2, LeaseTTL: time.Second,
 	})
-	var failures atomic.Int64
-	chaotic := &service.ChaosExecutor{
-		Inner: experiments.NewPool(1),
-		FailRun: func(experiments.RunRequest) error {
-			if failures.Add(1) == 1 {
-				return context.DeadlineExceeded // any error: the engine died mid-batch
-			}
-			return nil
-		},
-	}
+	chaotic := &failFirstBatch{inner: experiments.NewPool(1)}
 	startWorker(t, base, Config{Name: "chaotic", Executor: chaotic})
 
 	spec := jobSpec()
 	got := runTask(t, c, "/v1/tasks/jobs", spec)
-	if failures.Load() == 0 {
+	if chaotic.batches.Load() == 0 {
 		t.Fatal("chaos executor never saw a batch; test proved nothing")
 	}
 
@@ -259,6 +250,20 @@ func TestWorkerCrashMidBatchRecovers(t *testing.T) {
 		t.Errorf("post-crash results diverge from single-node:\n%s\nvs\n%s", got, want)
 	}
 	requireRemoteRuns(t, c)
+}
+
+// failFirstBatch is an engine that dies on the first batch it is handed
+// and works for every later one.
+type failFirstBatch struct {
+	inner   experiments.Executor
+	batches atomic.Int64
+}
+
+func (f *failFirstBatch) Execute(reqs []experiments.RunRequest, onDone func(int, experiments.RunOutcome)) ([]experiments.RunOutcome, error) {
+	if f.batches.Add(1) == 1 {
+		return make([]experiments.RunOutcome, len(reqs)), context.DeadlineExceeded // any error: the engine died mid-batch
+	}
+	return f.inner.Execute(reqs, onDone)
 }
 
 // TestWorkerRunPanicIsolated: a run that panics on a worker node fails
