@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race fuzz-smoke cover bench bench-check explore-smoke report-smoke recover-smoke metrics-smoke worker-smoke clean
+.PHONY: build vet test test-race fuzz-smoke cover bench bench-check pgo explore-smoke report-smoke recover-smoke metrics-smoke worker-smoke clean
 
 build:
 	$(GO) build ./...
@@ -54,14 +54,16 @@ cover:
 # throughput) with allocation reporting and writes the raw test2json
 # stream to BENCH_step.json so future PRs can diff the perf trajectory. The previous BENCH_step.json is preserved
 # under BENCH_history/ (timestamped) so the trajectory is append-only
-# rather than overwritten each run.
+# rather than overwritten each run. The benchmarks build with the
+# shipped profile (PGO), so they time the code the binaries run.
+PGO_PROFILE = cmd/adasimd/default.pgo
 bench:
 	@if [ -f BENCH_step.json ]; then \
 		mkdir -p BENCH_history; \
 		cp BENCH_step.json BENCH_history/BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json; \
 		echo "backed up previous BENCH_step.json to BENCH_history/"; \
 	fi
-	$(GO) test -json -run '^$$' \
+	$(GO) test -json -run '^$$' -pgo=$(PGO_PROFILE) \
 		-bench 'BenchmarkSimulationStep$$|BenchmarkStepStages|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
 		-benchmem -benchtime=2s -timeout 30m . ./internal/core > BENCH_step.json
 	@grep -o '"Output":"[^"]*"' BENCH_step.json | sed 's/"Output":"//;s/"$$//' \
@@ -75,6 +77,25 @@ bench:
 # index build >= 10x).
 bench-check:
 	./scripts/bench_check.sh
+
+# pgo writes the CPU profile that profile-guided optimization builds
+# the simulation binaries with: adasimd, adasim-worker, tables and scen
+# each carry a byte-identical default.pgo, which go build applies with
+# no flag. The profile merges the daemon's CPU profile under all three
+# benchmark workloads (a traced bench/run.sh pass, on a seed no gate
+# uses) with the step and campaign benchmarks. Refresh it after a change
+# that moves the step's profile; a stale profile still builds, it only
+# optimizes less.
+PGO_SEED ?= 9001
+PGO_CMDS = adasimd adasim-worker tables scen
+pgo:
+	@dir=$$(mktemp -d) && \
+		sh bench/run.sh -workload all -seed $(PGO_SEED) -seconds 20 -trace 1 -trace-dir $$dir/trace && \
+		$(GO) test -run '^$$' -bench 'BenchmarkSimulationStep$$|BenchmarkCampaignThroughput$$' \
+			-benchtime=5s -cpuprofile $$dir/bench.pprof -o $$dir/bench.test . && \
+		$(GO) tool pprof -proto $$dir/trace/*/cpu.pprof $$dir/bench.pprof > $$dir/merged.pgo && \
+		for c in $(PGO_CMDS); do cp $$dir/merged.pgo cmd/$$c/default.pgo; done && \
+		rm -rf $$dir && ls -l $(foreach c,$(PGO_CMDS),cmd/$(c)/default.pgo)
 
 # explore-smoke exercises the scenario-generation and exploration
 # subsystem end to end at tiny scale: a seeded LHS sweep and one

@@ -25,9 +25,10 @@
 //   - a completion reporting a worker-side error re-queues the batch,
 //     up to maxBatchAttempts, then fails the owning call;
 //   - a completion for an unknown (expired, duplicated, or drained)
-//     lease is acknowledged idempotently — its outcomes still enter the
-//     content-addressed cache, where duplicates are naturally harmless
-//     because equal keys hold equal outcomes;
+//     lease is acknowledged idempotently and its outcomes are dropped:
+//     the key list expired with the lease, so there is nothing to cache
+//     them under (trusting a late worker's bytes would also need a
+//     digest of the run engine that produced them);
 //   - when no live worker remains, pending batches are reclaimed and
 //     executed on the local run pool, so a coordinator never deadlocks
 //     on a departed fleet.
@@ -361,9 +362,9 @@ func (h *Hub) Heartbeat(workerID, leaseID string) (bool, error) {
 // outcomes into the owning call's result slots (and the shared cache);
 // a reported worker error re-queues the batch. Completions for unknown
 // leases — expired and already re-executed, duplicated, or drained —
-// are acknowledged as duplicates; their outcomes still enter the
-// content-addressed cache, which makes re-execution and duplication
-// byte-invisible: equal keys hold equal outcomes.
+// are acknowledged as duplicates and their outcomes are dropped, not
+// cached: the lease held the batch's cache keys, and it is gone. The
+// batch itself was re-queued or finished elsewhere, so nothing is lost.
 func (h *Hub) Complete(workerID, leaseID string, outcomes []metrics.Outcome, workerErr string) (WorkerCompleteResponse, error) {
 	h.mu.Lock()
 	if w, ok := h.workers[workerID]; ok {
@@ -373,11 +374,8 @@ func (h *Hub) Complete(workerID, leaseID string, outcomes []metrics.Outcome, wor
 	if !ok {
 		h.mu.Unlock()
 		h.m.completions["duplicate"].Inc()
-		// Orphan outcomes are still valid content-addressed work; keep
-		// them. The lease (and with it the key list) is gone, so only
-		// completions that still carry their batch could be cached — an
-		// unknown lease has nothing to match outcomes against, so this
-		// is a pure acknowledgement.
+		// The key list went with the lease, so the outcomes cannot be
+		// matched to cache keys: acknowledge and drop them.
 		return WorkerCompleteResponse{Accepted: true, Duplicate: true}, nil
 	}
 	delete(h.leases, leaseID)

@@ -609,3 +609,58 @@ func TestLocalPartitionFailureDuringRemoteCall(t *testing.T) {
 		t.Fatalf("got %d outcomes, want %d", len(res.outs), len(reqs))
 	}
 }
+
+// countingCache is a cache that counts its Puts.
+type countingCache struct {
+	experiments.Cache
+	puts atomic.Int64
+}
+
+func (c *countingCache) Put(key string, out metrics.Outcome) {
+	c.puts.Add(1)
+	c.Cache.Put(key, out)
+}
+
+// TestExpiredLeaseCompletionIsDropped pins the unknown-lease contract:
+// a completion for a lease the janitor already expired is acknowledged
+// as a duplicate and counted, and its outcomes are dropped — the key
+// list expired with the lease, so nothing reaches the cache.
+func TestExpiredLeaseCompletionIsDropped(t *testing.T) {
+	inner, err := store.NewResultCache(256, "", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := &countingCache{Cache: inner}
+	h := NewHub(cache, obs.NewRegistry(), slog.New(slog.DiscardHandler), 40*time.Millisecond, 2)
+	t.Cleanup(h.Close)
+	w, err := h.Register("w", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := hubReqs(t, 2)
+	done := startExecute(h, reqs, experiments.NewPool(1), nil)
+	grant := leaseUntilGrant(t, h, w)
+	outcomes := executeGrant(t, grant)
+
+	// Stay silent past the TTL: the janitor expires the lease and, with
+	// the worker gone quiet, the batch is reclaimed locally.
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("execute: %v", res.err)
+	}
+	requireOuts(t, res.outs, reqs)
+	if got := h.m.leaseExpiries.Value(); got < 1 {
+		t.Fatalf("lease expiries = %d, want >= 1", got)
+	}
+
+	resp, err := h.Complete(w, grant.LeaseID, outcomes, "")
+	if err != nil || !resp.Accepted || !resp.Duplicate {
+		t.Fatalf("late complete = %+v, %v (want accepted duplicate)", resp, err)
+	}
+	if got := h.m.completions["duplicate"].Value(); got != 1 {
+		t.Errorf("duplicate completions = %d, want 1", got)
+	}
+	if got := cache.puts.Load(); got != 0 {
+		t.Errorf("expired-lease completion made %d cache Puts, want 0", got)
+	}
+}

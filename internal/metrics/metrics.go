@@ -92,9 +92,12 @@ type Outcome struct {
 	Accident   Accident
 	AccidentAt float64 // time of the accident; -1 if none
 
+	// The two flags sit together so they share one word: a 12-run
+	// result slice then fits a smaller allocation class. The wire order
+	// is outcomeWire's, not this one.
 	HazardH1 bool    // safety-distance violation occurred
-	H1At     float64 // first H1 time; -1 if none
 	HazardH2 bool    // too-close-to-lane-line hazard occurred
+	H1At     float64 // first H1 time; -1 if none
 	H2At     float64 // first H2 time; -1 if none
 
 	FaultFirstAt  float64 // first fault injection; -1 if none

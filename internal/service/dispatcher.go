@@ -347,12 +347,11 @@ func (d *Dispatcher) recoverOne(kind *TaskKind, rec store.JournalRecord) error {
 		done:           make(chan struct{}),
 	}
 	d.mu.Lock()
-	d.appendEventLocked(t, EventSubmitted, fmt.Sprintf("%s %s, spec %s (recovered from journal)",
-		kind.Name, queueClass(priority), shortHash(prep.Hash)))
+	d.appendEventLocked(t, timelineEntry{kind: entryRecovered})
 	d.queue.push(t)
 	d.m.queueAdd(t, 1)
 	d.m.submitted[kind.Plural].Inc()
-	d.appendEventLocked(t, EventQueued, fmt.Sprintf("queue depth %d", d.queue.depth()))
+	d.appendEventLocked(t, timelineEntry{kind: entryQueued, n: int32(d.queue.depth())})
 	d.recordLocked(t)
 	d.mu.Unlock()
 	return nil
@@ -383,8 +382,8 @@ func (d *Dispatcher) recordReplayFailure(kind *TaskKind, rec store.JournalRecord
 	}
 	close(t.done)
 	d.mu.Lock()
-	d.appendEventLocked(t, EventSubmitted, fmt.Sprintf("%s (recovered from journal)", kind.Name))
-	d.appendEventLocked(t, EventFailed, t.errMsg)
+	d.appendEventLocked(t, timelineEntry{kind: entryReplayFailed})
+	d.appendEventLocked(t, timelineEntry{kind: entryFailed})
 	d.m.finished[kind.Plural][StatusFailed].Inc()
 	d.recordLocked(t)
 	d.retireLocked(t)
@@ -507,12 +506,11 @@ func (d *Dispatcher) SubmitTask(kind *TaskKind, spec TaskSpec, priority Priority
 			return TaskView{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	d.appendEventLocked(t, EventSubmitted, fmt.Sprintf("%s %s, spec %s",
-		kind.Name, queueClass(priority), shortHash(prep.Hash)))
+	d.appendEventLocked(t, timelineEntry{kind: entrySubmitted})
 	d.queue.push(t)
 	d.m.queueAdd(t, 1)
 	d.m.submitted[kind.Plural].Inc()
-	d.appendEventLocked(t, EventQueued, fmt.Sprintf("queue depth %d", d.queue.depth()))
+	d.appendEventLocked(t, timelineEntry{kind: entryQueued, n: int32(d.queue.depth())})
 	d.recordLocked(t)
 	d.lane[queueClass(priority)].Signal()
 	d.log.Debug("task submitted",
@@ -600,7 +598,7 @@ func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 		t.prep.Run = nil // release the plan; it will never execute
 		close(t.done)
 		d.m.finished[t.kind.Plural][StatusCanceled].Inc()
-		d.appendEventLocked(t, EventCanceled, "canceled while queued")
+		d.appendEventLocked(t, timelineEntry{kind: entryCanceledQueued})
 		d.closeSubsLocked(t)
 		d.journalTerminal(t, "")
 		d.retireLocked(t)
@@ -610,7 +608,7 @@ func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 		// timeline entry; the task honors it between runs.
 		if !t.cancel.Load() {
 			d.m.cancelRunning.Inc()
-			d.appendEventLocked(t, EventCancelRequested, "stopping between runs")
+			d.appendEventLocked(t, timelineEntry{kind: entryCancelRequested})
 			d.log.Info("task cancellation requested", "task", t.id, "kind", t.kind.Name)
 		}
 		t.cancel.Store(true)
@@ -743,7 +741,7 @@ func (d *Dispatcher) scheduler(class PriorityClass) {
 		t.startedMono = mono
 		wait := mono.Sub(t.submittedMono)
 		d.m.queueWait[t.kind.Plural][class].Observe(wait.Seconds())
-		d.appendEventLocked(t, EventStarted, fmt.Sprintf("queue wait %s", wait.Round(time.Microsecond)))
+		d.appendEventLocked(t, timelineEntry{kind: entryStarted, dur: wait.Round(time.Microsecond)})
 		d.mu.Unlock()
 		d.log.Info("task started", "task", t.id, "kind", t.kind.Name,
 			"priority", string(class), "queue_wait", wait)
@@ -792,7 +790,7 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 				}
 				if t.nextProgress.CompareAndSwap(next, cur+int64(t.progressStride)) {
 					d.mu.Lock()
-					d.appendEventLocked(t, EventProgress, progressDetail(int(cur), t.prep.Total, int(t.cacheHits.Load())))
+					d.appendEventLocked(t, timelineEntry{kind: entryProgress, n: int32(cur), m: int32(t.cacheHits.Load())})
 					d.mu.Unlock()
 					return
 				}
@@ -820,18 +818,18 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 		// that a canceled task never publishes results.
 		t.status = StatusCanceled
 		t.errMsg = ErrCanceled.Error()
-		d.appendEventLocked(t, EventCanceled, fmt.Sprintf("canceled after %d runs", t.completed.Load()))
+		d.appendEventLocked(t, timelineEntry{kind: entryCanceled, n: int32(t.completed.Load())})
 	case err != nil:
 		t.status = StatusFailed
 		t.errMsg = err.Error()
-		d.appendEventLocked(t, EventFailed, t.errMsg)
+		d.appendEventLocked(t, timelineEntry{kind: entryFailed})
 	default:
 		t.status = StatusDone
 		t.completed.Store(int64(stats.Completed))
 		t.cacheHits.Store(int64(stats.CacheHits))
 		t.result = result
-		d.appendEventLocked(t, EventDone, fmt.Sprintf("%d runs, %d cache hits, ran %s",
-			stats.Completed, stats.CacheHits, ran.Round(time.Microsecond)))
+		d.appendEventLocked(t, timelineEntry{kind: entryDone, n: int32(stats.Completed),
+			m: int32(stats.CacheHits), dur: ran.Round(time.Microsecond)})
 	}
 	d.m.finished[t.kind.Plural][t.status].Inc()
 	d.m.taskDur[t.kind.Plural].Observe(ran.Seconds())

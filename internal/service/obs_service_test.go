@@ -339,7 +339,7 @@ func TestTimelineWatchCancelRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for w := 0; w < 3; w++ {
-			past, ch, stop, ok := d.WatchTask(view.ID)
+			past, ch, render, stop, ok := d.WatchTask(view.ID)
 			if !ok {
 				t.Fatalf("watch %s: unknown task", view.ID)
 			}
@@ -348,8 +348,8 @@ func TestTimelineWatchCancelRace(t *testing.T) {
 				defer wg.Done()
 				defer stop()
 				events := past
-				for ev := range ch {
-					events = append(events, ev)
+				for e := range ch {
+					events = append(events, render(e))
 				}
 				// Dropped events are allowed (non-blocking fan-out); a
 				// watcher that outlives the task must still end on a
@@ -402,7 +402,7 @@ func TestWatchAlreadyTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-d.TaskDone(view.ID)
-	past, ch, stop, ok := d.WatchTask(view.ID)
+	past, ch, _, stop, ok := d.WatchTask(view.ID)
 	if !ok {
 		t.Fatal("unknown task")
 	}

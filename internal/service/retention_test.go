@@ -403,3 +403,51 @@ func TestEvictedRecordsUnreachable(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainedRecordBytes prices one finished job record: the live heap
+// that 2,000 finished jobs add, each run through the stub run seam with
+// a distinct seed so every run executes and the timeline carries its
+// full progress trail. The result cache is kept at capacity by the
+// warm-up, so only the records grow. The bounds sit between the compact
+// record (~3.6 KB for 12 runs, ~1.2 KB for one) and the one that held a
+// string-rendered timeline and padded outcomes (~4.8 KB and ~1.6 KB).
+func TestRetainedRecordBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reps  int
+		bound float64
+	}{
+		{"12-run", 12, 3800},
+		{"single-run", 1, 1300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newChaosDispatcher(t, Config{Workers: 2, CacheEntries: 16}, stubRun)
+			seed := int64(0)
+			finish := func(n int) {
+				for i := 0; i < n; i++ {
+					spec := smallSpec()
+					spec.Reps = tc.reps
+					seed++
+					spec.BaseSeed = seed
+					submitAndWait(t, d, spec)
+				}
+			}
+			heap := func() uint64 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			const records = 2000
+			finish(200)
+			before := heap()
+			finish(records)
+			per := float64(int64(heap())-int64(before)) / records
+			t.Logf("%s job record: %.0f B retained", tc.name, per)
+			if per > tc.bound {
+				t.Errorf("%s job record retains %.0f B, want <= %.0f", tc.name, per, tc.bound)
+			}
+		})
+	}
+}

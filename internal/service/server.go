@@ -381,7 +381,7 @@ func (s *Server) streamTaskEvents(w http.ResponseWriter, r *http.Request, id str
 		writeError(w, http.StatusNotAcceptable, fmt.Errorf("event stream unsupported on this connection"))
 		return
 	}
-	past, live, stop, ok := s.d.WatchTask(id)
+	past, live, render, stop, ok := s.d.WatchTask(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, unknownTask(id))
 		return
@@ -400,11 +400,11 @@ func (s *Server) streamTaskEvents(w http.ResponseWriter, r *http.Request, id str
 	fl.Flush()
 	for {
 		select {
-		case ev, open := <-live:
+		case e, open := <-live:
 			if !open {
 				return // terminal event delivered; stream complete
 			}
-			if writeSSEEvent(w, ev) != nil {
+			if writeSSEEvent(w, render(e)) != nil {
 				return
 			}
 			fl.Flush()

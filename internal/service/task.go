@@ -224,8 +224,8 @@ type task struct {
 	// the next progress event (atomic: progress callbacks race to cross
 	// it and CAS elects the one that appends the event), and its stride
 	// (immutable after construction).
-	timeline       []TimelineEvent
-	subs           []chan TimelineEvent
+	timeline       []timelineEntry
+	subs           []chan timelineEntry
 	nextProgress   atomic.Int64
 	progressStride int
 

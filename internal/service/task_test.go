@@ -124,7 +124,10 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 // interactive tasks have overtaken a bulk task with a run waiting, the
 // bulk task's runs go ahead of further interactive work. Each job runs
 // two slow reps, so the third job cannot finish inside the report's
-// post-run rendering.
+// post-run rendering. The order is read from the run-progress events,
+// which are stamped under the dispatcher lock as runs complete: finish
+// times would also count each task's finalize, which a descheduled
+// goroutine can delay past the next task's.
 func TestBulkAgingPreventsStarvation(t *testing.T) {
 	d := newTestDispatcher(t, Config{Workers: 1, QueueSize: 16, CacheEntries: 64, AgeAfter: 2})
 	occ := submitOccupier(t, d, 60)
@@ -144,15 +147,29 @@ func TestBulkAgingPreventsStarvation(t *testing.T) {
 	}
 	// Expected dispatch order: occ, J0, J1 (two overtakes), REP (aged),
 	// J2, J3.
-	views := finalViews(t, d, append([]string{occ.ID, rep.ID}, jobs...)...)
-	r := views[rep.ID]
-	if j1 := views[jobs[1]]; r.FinishedAt.Before(*j1.FinishedAt) {
-		t.Errorf("bulk report ran before the second interactive job: %v < %v",
-			r.FinishedAt, j1.FinishedAt)
+	finalViews(t, d, append([]string{occ.ID, rep.ID}, jobs...)...)
+	// progress returns when each of a task's progress events past the
+	// first run landed (a task's "0/N" event marks its start, not a run).
+	progress := func(id string) []time.Time {
+		events, _ := d.TaskEvents(id)
+		var ts []time.Time
+		for _, ev := range events {
+			if ev.Event == EventProgress && !strings.HasPrefix(ev.Detail, "0/") {
+				ts = append(ts, ev.TS)
+			}
+		}
+		if len(ts) == 0 {
+			t.Fatalf("task %s has no progress events", id)
+		}
+		return ts
 	}
-	if j2 := views[jobs[2]]; r.FinishedAt.After(*j2.FinishedAt) {
-		t.Errorf("aging rule did not promote the bulk report: report at %v, third job at %v",
-			r.FinishedAt, j2.FinishedAt)
+	r, j1, j2 := progress(rep.ID), progress(jobs[1]), progress(jobs[2])
+	repLast := r[len(r)-1]
+	if j1Last := j1[len(j1)-1]; repLast.Before(j1Last) {
+		t.Errorf("bulk report ran its last run before the second interactive job's: %v < %v", repLast, j1Last)
+	}
+	if j2First := j2[0]; repLast.After(j2First) {
+		t.Errorf("aging rule did not promote the bulk report: its last run at %v, third job's first at %v", repLast, j2First)
 	}
 }
 

@@ -22,17 +22,19 @@
 # Short bench times keep this a smoke test (a few minutes): it catches
 # regressions of kind (an alloc appearing, overhead exploding, a cache
 # speedup collapsing), not small percentage drifts — `make bench`
-# tracks those.
+# tracks those. Every benchmark builds with the shipped profile (PGO),
+# so the gates hold for the code the binaries run.
 set -eu
 
 GO=${GO:-go}
+PGO=-pgo=cmd/adasimd/default.pgo
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT INT TERM
 
 echo "bench-check: BenchmarkSimulationStep and BenchmarkStepStages (allocs/op gate)"
-$GO test -run '^$' -bench 'BenchmarkSimulationStep$' -benchmem \
+$GO test $PGO -run '^$' -bench 'BenchmarkSimulationStep$' -benchmem \
     -benchtime=10000x -timeout 10m . | tee "$OUT"
-$GO test -run '^$' -bench 'BenchmarkStepStages' -benchmem \
+$GO test $PGO -run '^$' -bench 'BenchmarkStepStages' -benchmem \
     -benchtime=2000x -timeout 10m ./internal/core | tee -a "$OUT"
 ALLOCS=$(awk '/^Benchmark(SimulationStep|StepStages\/)/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $1, $i }' "$OUT")
 echo "$ALLOCS" | grep -q '^BenchmarkSimulationStep' || { echo "FAIL: no allocs/op in BenchmarkSimulationStep output"; exit 1; }
@@ -46,7 +48,7 @@ fi
 echo "ok: simulation step and every stage are zero-alloc"
 
 echo "bench-check: BenchmarkInstrumentedMixedWorkload/overhead (10% gate)"
-$GO test -run '^$' -bench 'BenchmarkInstrumentedMixedWorkload/overhead$' \
+$GO test $PGO -run '^$' -bench 'BenchmarkInstrumentedMixedWorkload/overhead$' \
     -benchtime=10x -timeout 10m . | tee "$OUT"
 PCT=$(awk '/^BenchmarkInstrumentedMixedWorkload\/overhead/ { for (i = 1; i < NF; i++) if ($(i+1) == "overhead-%") print $i }' "$OUT")
 [ -n "$PCT" ] || { echo "FAIL: no overhead-% in overhead bench output"; exit 1; }
@@ -55,7 +57,7 @@ awk -v p="$PCT" 'BEGIN {
     printf "ok: instrumentation overhead %.1f%% <= 10%%\n", p }'
 
 echo "bench-check: BenchmarkDiskCacheStore (segment store speedup gates)"
-$GO test -run '^$' -bench 'BenchmarkDiskCacheStore' \
+$GO test $PGO -run '^$' -bench 'BenchmarkDiskCacheStore' \
     -benchtime=20x -timeout 10m . | tee "$OUT"
 HIT=$(awk '/^BenchmarkDiskCacheStore\/disk_hit/ { for (i = 1; i < NF; i++) if ($(i+1) == "hit-speedup-x") print $i }' "$OUT")
 COLD=$(awk '/^BenchmarkDiskCacheStore\/cold_start/ { for (i = 1; i < NF; i++) if ($(i+1) == "coldstart-speedup-x") print $i }' "$OUT")
