@@ -82,15 +82,14 @@ bench-check:
 # the simulation binaries with: adasimd, adasim-worker, tables and scen
 # each carry a byte-identical default.pgo, which go build applies with
 # no flag. The profile merges the daemon's CPU profile under all three
-# benchmark workloads (a traced bench/run.sh pass, on a seed no gate
-# uses) with the step and campaign benchmarks. Refresh it after a change
+# benchmark workloads (a traced bench/run.sh pass on seed 9001, which
+# no bench or gate uses) with the step and campaign benchmarks. Refresh it after a change
 # that moves the step's profile; a stale profile still builds, it only
 # optimizes less.
-PGO_SEED ?= 9001
 PGO_CMDS = adasimd adasim-worker tables scen
 pgo:
 	@dir=$$(mktemp -d) && \
-		sh bench/run.sh -workload all -seed $(PGO_SEED) -seconds 20 -trace 1 -trace-dir $$dir/trace && \
+		sh bench/run.sh -workload all -seed 9001 -seconds 20 -trace 1 -trace-dir $$dir/trace && \
 		$(GO) test -run '^$$' -bench 'BenchmarkSimulationStep$$|BenchmarkCampaignThroughput$$' \
 			-benchtime=5s -cpuprofile $$dir/bench.pprof -o $$dir/bench.test . && \
 		$(GO) tool pprof -proto $$dir/trace/*/cpu.pprof $$dir/bench.pprof > $$dir/merged.pgo && \

@@ -62,7 +62,7 @@ func progressStrideFor(total int) int {
 }
 
 // timelineEntry is the retained form of one timeline event: when, which
-// event, and its numbers. The detail text is rendered on read (event)
+// event, and its numbers. task.event renders the detail text on read
 // from the entry and the task's fixed fields, so a record holds no
 // strings per event and the dispatcher formats nothing under d.mu.
 type timelineEntry struct {
