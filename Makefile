@@ -56,14 +56,13 @@ cover:
 # under BENCH_history/ (timestamped) so the trajectory is append-only
 # rather than overwritten each run. The benchmarks build with the
 # shipped profile (PGO), so they time the code the binaries run.
-PGO_PROFILE = cmd/adasimd/default.pgo
 bench:
 	@if [ -f BENCH_step.json ]; then \
 		mkdir -p BENCH_history; \
 		cp BENCH_step.json BENCH_history/BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json; \
 		echo "backed up previous BENCH_step.json to BENCH_history/"; \
 	fi
-	$(GO) test -json -run '^$$' -pgo=$(PGO_PROFILE) \
+	$(GO) test -json -run '^$$' -pgo=cmd/adasimd/default.pgo \
 		-bench 'BenchmarkSimulationStep$$|BenchmarkStepStages|BenchmarkLSTMInfer32$$|BenchmarkLSTMInferBatched$$|BenchmarkLSTMPredict$$|BenchmarkClosedLoopRun$$|BenchmarkCampaignThroughput$$|BenchmarkServiceThroughput|BenchmarkReportThroughput|BenchmarkMixedWorkloadThroughput$$|BenchmarkMixedWorkloadMultiNode$$|BenchmarkInstrumentedMixedWorkload|BenchmarkExploreBoundarySearch$$|BenchmarkJournalRecovery$$|BenchmarkDiskCacheStore' \
 		-benchmem -benchtime=2s -timeout 30m . ./internal/core > BENCH_step.json
 	@grep -o '"Output":"[^"]*"' BENCH_step.json | sed 's/"Output":"//;s/"$$//' \
@@ -83,18 +82,17 @@ bench-check:
 # each carry a byte-identical default.pgo, which go build applies with
 # no flag. The profile merges the daemon's CPU profile under all three
 # benchmark workloads (a traced bench/run.sh pass on seed 9001, which
-# no bench or gate uses) with the step and campaign benchmarks. Refresh it after a change
-# that moves the step's profile; a stale profile still builds, it only
-# optimizes less.
-PGO_CMDS = adasimd adasim-worker tables scen
+# no bench or gate uses) with the step and campaign benchmarks. Refresh
+# it after a change that moves the step's profile; a stale profile
+# still builds, it only optimizes less.
 pgo:
 	@dir=$$(mktemp -d) && \
 		sh bench/run.sh -workload all -seed 9001 -seconds 20 -trace 1 -trace-dir $$dir/trace && \
 		$(GO) test -run '^$$' -bench 'BenchmarkSimulationStep$$|BenchmarkCampaignThroughput$$' \
 			-benchtime=5s -cpuprofile $$dir/bench.pprof -o $$dir/bench.test . && \
 		$(GO) tool pprof -proto $$dir/trace/*/cpu.pprof $$dir/bench.pprof > $$dir/merged.pgo && \
-		for c in $(PGO_CMDS); do cp $$dir/merged.pgo cmd/$$c/default.pgo; done && \
-		rm -rf $$dir && ls -l $(foreach c,$(PGO_CMDS),cmd/$(c)/default.pgo)
+		for c in adasimd adasim-worker tables scen; do cp $$dir/merged.pgo cmd/$$c/default.pgo; done && \
+		rm -rf $$dir && ls -l cmd/*/default.pgo
 
 # explore-smoke exercises the scenario-generation and exploration
 # subsystem end to end at tiny scale: a seeded LHS sweep and one

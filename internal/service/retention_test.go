@@ -411,6 +411,11 @@ func TestEvictedRecordsUnreachable(t *testing.T) {
 // warm-up, so only the records grow. The bounds sit between the compact
 // record (~3.6 KB for 12 runs, ~1.2 KB for one) and the one that held a
 // string-rendered timeline and padded outcomes (~4.8 KB and ~1.6 KB).
+// They were set on go1.24.0 linux/amd64, where the probe reads
+// 3,557–3,563 B and 1,171 B, plain and under -race. The margins (~240 B
+// and ~130 B) absorb run-to-run noise, not a different toolchain's size
+// classes or map layout: re-measure on a new Go version or
+// architecture before reading a failure as a record that grew.
 func TestRetainedRecordBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
