@@ -812,19 +812,18 @@ func BenchmarkExploreBoundarySearch(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	probes := 0
 	for i := 0; i < b.N; i++ {
-		rep, stats, err := eng.Run(spec)
+		rep, err := eng.Run(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if rep.Boundary == nil {
 			b.Fatal("no boundary result")
 		}
-		probes += stats.Probes
 	}
-	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
-	b.ReportMetric(float64(probes)/b.Elapsed().Seconds(), "probes/sec")
+	probes := float64(eng.Tally.Runs())
+	b.ReportMetric(probes/float64(b.N), "probes/op")
+	b.ReportMetric(probes/b.Elapsed().Seconds(), "probes/sec")
 }
 
 // BenchmarkPerception measures the perception sensor alone.

@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	eng := explore.New(experiments.NewPool(*par), cache)
 	var progressMu sync.Mutex
 	done := 0
-	eng.Progress = func(completed, cacheHits int) { // called from worker goroutines
+	eng.Tally.OnAdd = func(completed, cacheHits int) { // called from worker goroutines
 		progressMu.Lock()
 		defer progressMu.Unlock()
 		if completed > done {
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "scen: %d probes done (%d cached)\n", completed, cacheHits)
 		}
 	}
-	rep, stats, err := eng.Run(spec)
+	rep, err := eng.Run(spec)
 	if err != nil {
 		return err
 	}
@@ -94,12 +94,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := cli.PrintJSON(w, rep); err != nil {
 		return err
 	}
-	summarize(stderr, rep, stats)
+	summarize(stderr, rep, eng.Tally)
 	return nil
 }
 
 // summarize prints the human-readable exploration outcome to w.
-func summarize(w io.Writer, rep *explore.Report, stats explore.Stats) {
+func summarize(w io.Writer, rep *explore.Report, tally *experiments.Tally) {
 	accidents := 0
 	for _, p := range rep.Probes {
 		if p.Accident() {
@@ -107,7 +107,7 @@ func summarize(w io.Writer, rep *explore.Report, stats explore.Stats) {
 		}
 	}
 	fmt.Fprintf(w, "scen: %s/%s: %d probes (%d cached), %d accidents\n",
-		rep.Family, rep.Method, stats.Probes, stats.CacheHits, accidents)
+		rep.Family, rep.Method, tally.Runs(), tally.Hits(), accidents)
 	if b := rep.Boundary; b != nil {
 		if b.Bracketed {
 			fmt.Fprintf(w, "scen: hazard boundary on %s: frontier %.3f (bracket [%.3f, %.3f], converged=%v, %d probes)\n",

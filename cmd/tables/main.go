@@ -121,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	var stats report.Stats
 	if subset {
 		cs := experiments.TableVICampaigns(experiments.TableVIRows(eng.MLNet))
 		if len(rows) > 0 {
@@ -130,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		var t *experiments.TableVIResult
-		if t, stats, err = eng.TableVI(spec, cs); err != nil {
+		if t, err = eng.TableVI(spec, cs); err != nil {
 			return err
 		}
 		if *breakdown {
@@ -143,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		var res *report.Result
-		if res, stats, err = eng.Run(spec); err != nil {
+		if res, err = eng.Run(spec); err != nil {
 			return err
 		}
 		for _, a := range res.Artifacts {
@@ -159,8 +158,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stdout, "wrote", path)
 		}
 	}
-	if stats.CacheHits > 0 {
-		fmt.Fprintf(stdout, "cache served %d of %d runs\n", stats.CacheHits, stats.Runs)
+	if hits := eng.Tally.Hits(); hits > 0 {
+		fmt.Fprintf(stdout, "cache served %d of %d runs\n", hits, eng.Tally.Runs())
 	}
 	fmt.Fprintln(stdout, "total elapsed:", time.Since(start).Round(time.Millisecond))
 	return nil

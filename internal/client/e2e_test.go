@@ -145,7 +145,7 @@ func TestEndToEndExplorationMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, _, err := explore.New(experiments.NewPool(0), nil).Run(spec)
+	rep, err := explore.New(experiments.NewPool(0), nil).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestEndToEndReportMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, _, err := report.New(experiments.NewPool(0), nil).Run(spec)
+	res, err := report.New(experiments.NewPool(0), nil).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,9 @@ type Config struct {
 	// Trace-recording runs and runs that cannot be fingerprinted (ML)
 	// always execute.
 	Cache Cache
+	// Tally, when non-nil, counts every run the campaign resolves (see
+	// Resolve).
+	Tally *Tally
 }
 
 // DefaultConfig returns the paper's campaign dimensions.
@@ -138,8 +141,7 @@ func (c Config) execute(reqs []RunRequest) ([]RunOutcome, error) {
 			reqs[i].CacheKey, _ = fp.Fingerprint(reqs[i].Opts) // "" on error
 		}
 	}
-	outs, _, _, err := Resolve(exec, c.Cache, reqs, nil)
-	return outs, err
+	return Resolve(exec, c.Cache, reqs, c.Tally)
 }
 
 // Outcomes strips run keys.

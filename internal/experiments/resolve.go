@@ -22,23 +22,55 @@ type Cache interface {
 	Put(key string, out metrics.Outcome)
 }
 
+// Tally counts what Resolve resolved: runs (cache-served ones
+// included) and, of those, cache hits. Resolve adds the hits after its
+// lookups, then one run per finished execution, from the executor's
+// goroutines. The zero value is ready to use, and a Tally must not be
+// copied once in use.
+type Tally struct {
+	runs, hits atomic.Int64
+	// OnAdd, when non-nil, is called after every addition (a zero one
+	// included) with the cumulative totals it produced. Calls arrive
+	// concurrently with no ordering guarantee, so it must be safe for
+	// concurrent use. Set it before the tally's first addition.
+	OnAdd func(runs, hits int)
+}
+
+// Runs returns the runs resolved so far, cache hits included.
+func (t *Tally) Runs() int { return int(t.runs.Load()) }
+
+// Hits returns how many of the resolved runs the cache served.
+func (t *Tally) Hits() int { return int(t.hits.Load()) }
+
+// add counts runs resolved runs, hits of them from the cache; a nil
+// tally counts nothing. Runs move first, so a reader that loads Hits
+// before Runs never sees more hits than runs.
+func (t *Tally) add(runs, hits int) {
+	if t == nil {
+		return
+	}
+	r := t.runs.Add(int64(runs))
+	h := t.hits.Add(int64(hits))
+	if t.OnAdd != nil {
+		t.OnAdd(int(r), int(h))
+	}
+}
+
 // Resolve executes a batch cache-first, the one rule under campaign
 // jobs, report campaigns and explorations: every request that carries a
 // CacheKey is looked up, only the misses go to exec (which is not
 // called at all when every run hits), and each fresh outcome is written
 // back. A request with an empty CacheKey is uncacheable and always
 // executes. Outcomes keep the request order, so they never depend on
-// executor shard count or cache warmth. cache may be nil.
+// executor shard count or cache warmth. cache and tally may be nil.
 //
 // When Execute fails, the runs that did finish are still written back
 // (a failed Execute returns one slot per request): a corrected
 // resubmission or an overlapping batch re-runs only what failed.
-// progress, when non-nil, receives (completed, hits) counted within
-// this call — after the lookups, per finished run from the executor's
-// goroutines, and at the end — so it must be safe for concurrent use.
-// Resolve returns the same two counts; on error it returns no outcomes
-// and counts the runs that finished.
-func Resolve(exec Executor, cache Cache, reqs []RunRequest, progress func(completed, hits int)) ([]RunOutcome, int, int, error) {
+// Resolve adds to tally the hits after the lookups, then one run per
+// finished execution; on error it returns no outcomes, and the tally
+// holds the hits and the runs that finished.
+func Resolve(exec Executor, cache Cache, reqs []RunRequest, tally *Tally) ([]RunOutcome, error) {
 	outs := make([]RunOutcome, len(reqs))
 	var missed []int
 	hits := 0
@@ -52,11 +84,9 @@ func Resolve(exec Executor, cache Cache, reqs []RunRequest, progress func(comple
 		}
 		missed = append(missed, i)
 	}
-	if progress != nil {
-		progress(hits, hits)
-	}
+	tally.add(hits, hits)
 	if len(missed) == 0 {
-		return outs, hits, hits, nil
+		return outs, nil
 	}
 	sub := reqs
 	if len(missed) < len(reqs) {
@@ -79,13 +109,9 @@ func Resolve(exec Executor, cache Cache, reqs []RunRequest, progress func(comple
 	// always guards a valid outcome: executors fill the result slot
 	// before invoking onDone.
 	succeeded := make([]atomic.Bool, len(sub))
-	var ran atomic.Int64
 	fresh, err := exec.Execute(sub, func(j int, _ RunOutcome) {
 		succeeded[j].Store(true)
-		n := int(ran.Add(1))
-		if progress != nil {
-			progress(hits+n, hits)
-		}
+		tally.add(1, 0)
 	})
 	for j, i := range missed {
 		if err != nil && !succeeded[j].Load() {
@@ -97,10 +123,7 @@ func Resolve(exec Executor, cache Cache, reqs []RunRequest, progress func(comple
 		}
 	}
 	if err != nil {
-		return nil, hits + int(ran.Load()), hits, err
+		return nil, err
 	}
-	if progress != nil {
-		progress(len(reqs), hits)
-	}
-	return outs, len(reqs), hits, nil
+	return outs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adasim/internal/core"
@@ -98,7 +99,7 @@ func TestResolve(t *testing.T) {
 		wantRan []int64
 		wantPut []string
 		wantErr bool
-		// (completed, hits) as returned
+		// (completed, hits) as counted by the tally
 		completed, hits int
 	}{
 		{name: "nil cache", nilC: true, wantRan: []int64{1, 2, 3, 4}, completed: 4},
@@ -127,9 +128,9 @@ func TestResolve(t *testing.T) {
 				cache = mc
 			}
 			var lastDone, lastHits int
-			progress := func(done, hits int) { lastDone, lastHits = done, hits }
+			tally := &Tally{OnAdd: func(done, hits int) { lastDone, lastHits = done, hits }}
 
-			outs, completed, hits, err := Resolve(exec, cache, reqs(tc.keyless...), progress)
+			outs, err := Resolve(exec, cache, reqs(tc.keyless...), tally)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
 			}
@@ -139,11 +140,11 @@ func TestResolve(t *testing.T) {
 			if !slices.Equal(mc.puts, tc.wantPut) {
 				t.Errorf("puts %v, want %v", mc.puts, tc.wantPut)
 			}
-			if completed != tc.completed || hits != tc.hits {
-				t.Errorf("(completed, hits) = (%d, %d), want (%d, %d)", completed, hits, tc.completed, tc.hits)
+			if completed, hits := tally.Runs(), tally.Hits(); completed != tc.completed || hits != tc.hits {
+				t.Errorf("tally (completed, hits) = (%d, %d), want (%d, %d)", completed, hits, tc.completed, tc.hits)
 			}
 			if lastDone != tc.completed || lastHits != tc.hits {
-				t.Errorf("last progress = (%d, %d), want (%d, %d)", lastDone, lastHits, tc.completed, tc.hits)
+				t.Errorf("last OnAdd = (%d, %d), want (%d, %d)", lastDone, lastHits, tc.completed, tc.hits)
 			}
 			if tc.wantErr {
 				return
@@ -158,5 +159,67 @@ func TestResolve(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fanoutExec finishes every run on its own goroutine, all released at
+// once, so onDone calls race.
+type fanoutExec struct{}
+
+func (fanoutExec) Execute(reqs []RunRequest, onDone func(i int, ro RunOutcome)) ([]RunOutcome, error) {
+	outs := make([]RunOutcome, len(reqs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			outs[i] = RunOutcome{Key: req.Key, Outcome: fakeOutcome(req.Opts.Seed)}
+			onDone(i, outs[i])
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return outs, nil
+}
+
+// TestTallyConcurrentAdds: with onDone fired from many goroutines at
+// once, a tally shared by successive Resolve calls ends at exact totals,
+// and OnAdd fires once per addition — the lookup addition of each call
+// (a zero one included) plus one per finished run.
+func TestTallyConcurrentAdds(t *testing.T) {
+	const n, calls = 64, 3
+	mc := &mapCache{m: map[string]metrics.Outcome{}}
+	var adds atomic.Int64
+	tally := &Tally{OnAdd: func(runs, hits int) {
+		adds.Add(1)
+		if hits > runs {
+			t.Errorf("OnAdd(%d, %d): more hits than runs", runs, hits)
+		}
+	}}
+	reqs := make([]RunRequest, n)
+	for i := range reqs {
+		reqs[i] = RunRequest{
+			Key:      RunKey{Scenario: scenario.S1, Gap: 60, Rep: i},
+			Opts:     core.Options{Seed: int64(i + 1)},
+			CacheKey: fmt.Sprintf("k%d", i),
+		}
+	}
+	// Call 1 is cold, so n runs finish concurrently; calls 2 and 3 are
+	// all hits and execute nothing.
+	for range calls {
+		if _, err := Resolve(fanoutExec{}, mc, reqs, tally); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tally.Runs(), calls*n; got != want {
+		t.Errorf("tally runs = %d, want %d", got, want)
+	}
+	if got, want := tally.Hits(), (calls-1)*n; got != want {
+		t.Errorf("tally hits = %d, want %d", got, want)
+	}
+	if got, want := adds.Load(), int64(calls+n); got != want {
+		t.Errorf("OnAdd fired %d times, want %d (one per lookup pass, one per run)", got, want)
 	}
 }

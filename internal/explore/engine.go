@@ -62,28 +62,21 @@ type Report struct {
 	Boundary    *BoundaryResult `json:"boundary,omitempty"`
 }
 
-// Stats are execution-side counters (deliberately outside the Report).
-type Stats struct {
-	Probes    int
-	CacheHits int
-}
-
 // Engine runs explorations against an executor (experiments.Pool
 // offline, the task runtime's run pool in the daemon) and an optional
 // cache.
 type Engine struct {
 	exec  experiments.Executor
 	cache experiments.Cache
-	// Progress, when non-nil, is called with cumulative (completed,
-	// cacheHits) counts as probes finish. Calls arrive from the engine's
-	// goroutine between batches and from executor workers during them;
-	// it must be safe for concurrent use.
-	Progress func(completed, cacheHits int)
+	// Tally counts every probe the engine resolves, across calls (see
+	// experiments.Resolve). New gives each engine its own; replace it
+	// to observe or share the counts.
+	Tally *experiments.Tally
 }
 
 // New builds an engine. cache may be nil.
 func New(exec experiments.Executor, cache experiments.Cache) *Engine {
-	return &Engine{exec: exec, cache: cache}
+	return &Engine{exec: exec, cache: cache, Tally: new(experiments.Tally)}
 }
 
 // seedForPoint derives the probe's run seed from its fully resolved
@@ -113,22 +106,21 @@ func seedForPoint(base int64, family string, pt Point) int64 {
 
 // Run executes the exploration and returns its report. The spec is
 // normalized and validated first, so callers may pass the raw wire form.
-func (e *Engine) Run(spec Spec) (*Report, Stats, error) {
+func (e *Engine) Run(spec Spec) (*Report, error) {
 	n := spec.Normalized()
 	if err := n.Validate(); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	hash, err := n.Hash()
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	fam, _ := scengen.ByName(n.Family)
 	rep := &Report{Family: n.Family, Method: n.Method, SpecHash: hash}
 
-	var stats Stats
 	switch n.Method {
 	case MethodBoundary:
-		err = e.runBoundary(fam, n, rep, &stats)
+		err = e.runBoundary(fam, n, rep)
 	default:
 		var pts []Point
 		switch n.Method {
@@ -139,13 +131,13 @@ func (e *Engine) Run(spec Spec) (*Report, Stats, error) {
 		case MethodRandom:
 			pts = RandomPoints(n.Axes, n.Samples, n.Seed)
 		}
-		rep.Probes, err = e.evaluate(fam, n, pts, &stats)
+		rep.Probes, err = e.evaluate(fam, n, pts)
 	}
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	rep.TotalProbes = len(rep.Probes)
-	return rep, stats, nil
+	return rep, nil
 }
 
 // merged overlays the sampled point on the spec's fixed parameters.
@@ -161,9 +153,9 @@ func merged(fixed map[string]float64, pt Point) Point {
 }
 
 // evaluate resolves one batch of probes cache-first (see
-// experiments.Resolve) and adds its counts to stats. Results are
-// ordered by probe index.
-func (e *Engine) evaluate(fam *scengen.Family, spec Spec, pts []Point, stats *Stats) ([]ProbeResult, error) {
+// experiments.Resolve) into the engine's tally. Results are ordered by
+// probe index.
+func (e *Engine) evaluate(fam *scengen.Family, spec Spec, pts []Point) ([]ProbeResult, error) {
 	results := make([]ProbeResult, len(pts))
 	reqs := make([]experiments.RunRequest, len(pts))
 	var fp experiments.FingerprintScratch
@@ -196,14 +188,7 @@ func (e *Engine) evaluate(fam *scengen.Family, spec Spec, pts []Point, stats *St
 			CacheKey: key,
 		}
 	}
-	var progress func(completed, hits int)
-	if e.Progress != nil {
-		base, baseHits := stats.Probes, stats.CacheHits
-		progress = func(completed, hits int) { e.Progress(base+completed, baseHits+hits) }
-	}
-	outs, completed, hits, err := experiments.Resolve(e.exec, e.cache, reqs, progress)
-	stats.Probes += completed
-	stats.CacheHits += hits
+	outs, err := experiments.Resolve(e.exec, e.cache, reqs, e.Tally)
 	if err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
@@ -216,10 +201,10 @@ func (e *Engine) evaluate(fam *scengen.Family, spec Spec, pts []Point, stats *St
 // runBoundary brackets the accident/no-accident frontier along one axis
 // and bisects it to the requested tolerance. The two endpoint probes
 // execute as one batch; bisection probes are inherently sequential.
-func (e *Engine) runBoundary(fam *scengen.Family, spec Spec, rep *Report, stats *Stats) error {
+func (e *Engine) runBoundary(fam *scengen.Family, spec Spec, rep *Report) error {
 	b := spec.Boundary
 	probe := func(pts []Point) ([]ProbeResult, error) {
-		rs, err := e.evaluate(fam, spec, pts, stats)
+		rs, err := e.evaluate(fam, spec, pts)
 		if err != nil {
 			return nil, err
 		}

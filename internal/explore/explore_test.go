@@ -206,7 +206,7 @@ func (x *thresholdExec) Execute(reqs []experiments.RunRequest, onDone func(int, 
 func TestBoundaryBisection(t *testing.T) {
 	exec := &thresholdExec{threshold: 31.4}
 	eng := New(exec, nil)
-	rep, stats, err := eng.Run(Spec{
+	rep, err := eng.Run(Spec{
 		Family: "cut-in",
 		Boundary: &BoundarySpec{
 			Axis: "trigger_gap", Min: 5, Max: 60, Tolerance: 0.25,
@@ -228,8 +228,8 @@ func TestBoundaryBisection(t *testing.T) {
 	if b.Hi-b.Lo > 0.25 {
 		t.Errorf("bracket [%v, %v] wider than tolerance", b.Lo, b.Hi)
 	}
-	if b.Probes != len(rep.Probes) || stats.Probes != b.Probes {
-		t.Errorf("probe accounting: boundary %d, report %d, stats %d", b.Probes, len(rep.Probes), stats.Probes)
+	if b.Probes != len(rep.Probes) || eng.Tally.Runs() != b.Probes {
+		t.Errorf("probe accounting: boundary %d, report %d, tally %d", b.Probes, len(rep.Probes), eng.Tally.Runs())
 	}
 	// Bracketing costs 2 probes, bisection log2(55/0.25) ~ 8 more.
 	if b.Probes < 9 || b.Probes > 12 {
@@ -240,7 +240,7 @@ func TestBoundaryBisection(t *testing.T) {
 func TestBoundaryUnbracketed(t *testing.T) {
 	exec := &thresholdExec{threshold: -1} // never crashes
 	eng := New(exec, nil)
-	rep, _, err := eng.Run(Spec{
+	rep, err := eng.Run(Spec{
 		Family:   "cut-in",
 		Boundary: &BoundarySpec{Axis: "trigger_gap", Min: 5, Max: 60},
 	})
@@ -302,7 +302,7 @@ func TestEngineDeterminismAcrossParallelismAndCache(t *testing.T) {
 	cache := newMapCache()
 	for _, par := range []int{1, 8, 8} { // third pass re-uses the warm cache
 		eng := New(experiments.NewPool(par), cache)
-		rep, stats, err := eng.Run(realSpec())
+		rep, err := eng.Run(realSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,8 +311,8 @@ func TestEngineDeterminismAcrossParallelismAndCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		encodings = append(encodings, b)
-		if len(encodings) == 3 && stats.CacheHits != stats.Probes {
-			t.Errorf("warm pass: %d/%d probes from cache, want all", stats.CacheHits, stats.Probes)
+		if len(encodings) == 3 && eng.Tally.Hits() != eng.Tally.Runs() {
+			t.Errorf("warm pass: %d/%d probes from cache, want all", eng.Tally.Hits(), eng.Tally.Runs())
 		}
 	}
 	if !bytes.Equal(encodings[0], encodings[1]) {
@@ -338,20 +338,21 @@ func TestExplicitDefaultSharesCacheEntries(t *testing.T) {
 
 	cache := newMapCache()
 	eng := New(experiments.NewPool(2), cache)
-	repA, statsA, err := eng.Run(implicit)
+	repA, err := eng.Run(implicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if statsA.CacheHits != 0 {
-		t.Fatalf("cold run reported %d cache hits", statsA.CacheHits)
+	if eng.Tally.Hits() != 0 {
+		t.Fatalf("cold run reported %d cache hits", eng.Tally.Hits())
 	}
-	repB, statsB, err := eng.Run(explicit)
+	eng.Tally = new(experiments.Tally)
+	repB, err := eng.Run(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if statsB.CacheHits != statsB.Probes || statsB.Probes == 0 {
+	if eng.Tally.Hits() != eng.Tally.Runs() || eng.Tally.Runs() == 0 {
 		t.Errorf("explicit-default spec reused %d/%d cache entries, want all",
-			statsB.CacheHits, statsB.Probes)
+			eng.Tally.Hits(), eng.Tally.Runs())
 	}
 	for i := range repA.Probes {
 		if repA.Probes[i].Outcome != repB.Probes[i].Outcome {
@@ -369,7 +370,7 @@ func TestEngineProbeParamsIncludeFixed(t *testing.T) {
 	spec.Axes = []Axis{{Name: "trigger_gap", Min: 10, Max: 60, Points: 3}}
 	spec.Fixed = map[string]float64{"lead_speed": 12}
 	eng := New(experiments.NewPool(2), nil)
-	rep, _, err := eng.Run(spec)
+	rep, err := eng.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

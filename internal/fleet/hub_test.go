@@ -143,19 +143,34 @@ func leaseUntilGrant(t *testing.T, h *Hub, workerID string) WorkerLeaseResponse 
 }
 
 // startExecute launches hub.execute in a goroutine and returns a
-// channel carrying its result.
+// channel carrying its result, with the onDone calls it saw per request
+// index.
 type execResult struct {
-	outs []experiments.RunOutcome
-	err  error
+	outs  []experiments.RunOutcome
+	err   error
+	calls []atomic.Int32
 }
 
 func startExecute(h *Hub, reqs []experiments.RunRequest, local experiments.Executor, check func() error) chan execResult {
 	ch := make(chan execResult, 1)
+	calls := make([]atomic.Int32, len(reqs))
 	go func() {
-		outs, err := h.execute(reqs, nil, local, check)
-		ch <- execResult{outs, err}
+		outs, err := h.execute(reqs, func(i int, _ experiments.RunOutcome) { calls[i].Add(1) }, local, check)
+		ch <- execResult{outs, err, calls}
 	}()
 	return ch
+}
+
+// requireOnDoneOnce asserts every run's onDone fired exactly once: a
+// run the executor reports twice would be counted twice by the task's
+// run tally, and one it never reports would be missing from it.
+func requireOnDoneOnce(t *testing.T, res execResult) {
+	t.Helper()
+	for i := range res.calls {
+		if got := res.calls[i].Load(); got != 1 {
+			t.Errorf("run %d: onDone fired %d times, want 1", i, got)
+		}
+	}
 }
 
 // requireOuts asserts the executor produced exactly the direct-engine
@@ -210,6 +225,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		t.Fatalf("execute: %v", res.err)
 	}
 	requireOuts(t, res.outs, reqs)
+	requireOnDoneOnce(t, res)
 	if got := h.m.leaseExpiries.Value(); got < 1 {
 		t.Errorf("lease expiries = %d, want >= 1", got)
 	}
@@ -246,6 +262,7 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 		t.Fatalf("execute: %v", res.err)
 	}
 	requireOuts(t, res.outs, reqs)
+	requireOnDoneOnce(t, res)
 	if got := h.m.completions["duplicate"].Value(); got != 1 {
 		t.Errorf("duplicate completions = %d, want 1", got)
 	}
@@ -334,6 +351,7 @@ func TestFleetDepartureReclaimsLocally(t *testing.T) {
 		t.Fatalf("execute: %v", res.err)
 	}
 	requireOuts(t, res.outs, reqs)
+	requireOnDoneOnce(t, res)
 	if got := h.m.requeued["reclaimed"].Value(); got < 1 {
 		t.Errorf("reclaimed batches = %d, want >= 1", got)
 	}
@@ -451,7 +469,7 @@ func TestCanceledCallLateCompletionIsCacheOnly(t *testing.T) {
 		outs, err := h.execute(reqs, func(int, experiments.RunOutcome) {
 			hookCalls.Add(1)
 		}, experiments.NewPool(1), cancelOn(&stop))
-		done <- execResult{outs, err}
+		done <- execResult{outs: outs, err: err}
 	}()
 
 	grant := leaseUntilGrant(t, h, w)
@@ -521,7 +539,7 @@ func TestLateDeliveryStartsNoHookAfterReturn(t *testing.T) {
 			}
 		}, experiments.NewPool(1), cancelOn(&stop))
 		returned.Store(true)
-		done <- execResult{outs, err}
+		done <- execResult{outs: outs, err: err}
 	}()
 
 	grant := leaseUntilGrant(t, h, w)
@@ -610,13 +628,13 @@ func TestLocalPartitionFailureDuringRemoteCall(t *testing.T) {
 	}
 }
 
-// countingCache is a cache that counts its Puts.
-type countingCache struct {
+// putCounter is a cache that counts its Puts.
+type putCounter struct {
 	experiments.Cache
 	puts atomic.Int64
 }
 
-func (c *countingCache) Put(key string, out metrics.Outcome) {
+func (c *putCounter) Put(key string, out metrics.Outcome) {
 	c.puts.Add(1)
 	c.Cache.Put(key, out)
 }
@@ -630,7 +648,7 @@ func TestExpiredLeaseCompletionIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := &countingCache{Cache: inner}
+	cache := &putCounter{Cache: inner}
 	h := NewHub(cache, obs.NewRegistry(), slog.New(slog.DiscardHandler), 40*time.Millisecond, 2)
 	t.Cleanup(h.Close)
 	w, err := h.Register("w", 1)
@@ -663,4 +681,5 @@ func TestExpiredLeaseCompletionIsDropped(t *testing.T) {
 	if got := cache.puts.Load(); got != 0 {
 		t.Errorf("expired-lease completion made %d cache Puts, want 0", got)
 	}
+	requireOnDoneOnce(t, res) // the dropped late completion fired no hook
 }

@@ -2,10 +2,8 @@ package report
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"adasim/internal/experiments"
-	"adasim/internal/metrics"
 	"adasim/internal/nn"
 )
 
@@ -38,15 +36,6 @@ func (r *Result) Artifact(name string) *Artifact {
 	return nil
 }
 
-// Stats are execution-side counters (deliberately outside the Result).
-type Stats struct {
-	// Runs is the total number of runs the report needed (executed plus
-	// served from cache).
-	Runs int
-	// CacheHits is how many of them the cache served.
-	CacheHits int
-}
-
 // Engine computes reports against an executor and an optional cache.
 type Engine struct {
 	exec  experiments.Executor
@@ -57,106 +46,59 @@ type Engine struct {
 	// cannot be fingerprinted), and the purity of Result with respect to
 	// the spec hash only holds for engines without a network attached.
 	MLNet *nn.Network
-	// Progress, when non-nil, is called with cumulative (completedRuns,
-	// cacheHits) counts as runs finish. Calls arrive from executor worker
-	// goroutines; it must be safe for concurrent use.
-	Progress func(completedRuns, cacheHits int)
+	// Tally counts every run the engine resolves, across calls (see
+	// experiments.Resolve). New gives each engine its own; replace it
+	// to observe or share the counts. Concurrent Runs must not share
+	// one: each Run's TotalRuns is the tally's growth across it.
+	Tally *experiments.Tally
 }
 
 // New builds an engine. cache may be nil.
 func New(exec experiments.Executor, cache experiments.Cache) *Engine {
-	return &Engine{exec: exec, cache: cache}
+	return &Engine{exec: exec, cache: cache, Tally: new(experiments.Tally)}
 }
-
-// countingExecutor wraps the engine's executor so every completed run
-// moves the engine counters, regardless of which table requested it.
-type countingExecutor struct {
-	inner experiments.Executor
-	ran   *atomic.Int64
-	note  func()
-}
-
-func (ce countingExecutor) Execute(reqs []experiments.RunRequest, onDone func(i int, ro experiments.RunOutcome)) ([]experiments.RunOutcome, error) {
-	return ce.inner.Execute(reqs, func(i int, ro experiments.RunOutcome) {
-		ce.ran.Add(1)
-		ce.note()
-		if onDone != nil {
-			onDone(i, ro)
-		}
-	})
-}
-
-// countingCache wraps the engine's cache to count hits.
-type countingCache struct {
-	inner experiments.Cache
-	hits  *atomic.Int64
-	note  func()
-}
-
-func (cc countingCache) Get(key string) (metrics.Outcome, bool) {
-	out, ok := cc.inner.Get(key)
-	if ok {
-		cc.hits.Add(1)
-		cc.note()
-	}
-	return out, ok
-}
-
-func (cc countingCache) Put(key string, out metrics.Outcome) { cc.inner.Put(key, out) }
 
 // setup normalizes and validates spec and returns the campaign config
-// that runs through the engine's executor and cache, with a snapshot of
-// its counters.
-func (e *Engine) setup(spec Spec) (Spec, experiments.Config, func() Stats, error) {
+// that runs through the engine's executor, cache and tally.
+func (e *Engine) setup(spec Spec) (Spec, experiments.Config, error) {
 	n := spec.Normalized()
 	if err := n.Validate(); err != nil {
-		return n, experiments.Config{}, nil, err
+		return n, experiments.Config{}, err
 	}
-	var ran, hits atomic.Int64
-	note := func() {
-		if e.Progress != nil {
-			e.Progress(int(ran.Load()+hits.Load()), int(hits.Load()))
-		}
-	}
-	cfg := experiments.Config{
+	return n, experiments.Config{
 		Reps:     n.Reps,
 		Steps:    n.Steps,
 		BaseSeed: n.BaseSeed,
-		Executor: countingExecutor{inner: e.exec, ran: &ran, note: note},
-	}
-	if e.cache != nil {
-		cfg.Cache = countingCache{inner: e.cache, hits: &hits, note: note}
-	}
-	stats := func() Stats {
-		return Stats{Runs: int(ran.Load() + hits.Load()), CacheHits: int(hits.Load())}
-	}
-	return n, cfg, stats, nil
+		Executor: e.exec,
+		Cache:    e.cache,
+		Tally:    e.Tally,
+	}, nil
 }
 
 // TableVI runs Table VI's cells for the given campaigns at the spec's
 // reps, steps and seed. Pass experiments.SelectCampaigns over
 // experiments.TableVICampaigns for a row subset: each row keeps its
 // table-wide salt, so its cells equal those of the full table6 artifact.
-func (e *Engine) TableVI(spec Spec, campaigns []experiments.Campaign) (*experiments.TableVIResult, Stats, error) {
-	_, cfg, stats, err := e.setup(spec)
+func (e *Engine) TableVI(spec Spec, campaigns []experiments.Campaign) (*experiments.TableVIResult, error) {
+	_, cfg, err := e.setup(spec)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	t, err := experiments.TableVI(cfg, campaigns)
-	return t, stats(), err
+	return experiments.TableVI(cfg, campaigns)
 }
 
 // Run computes the report and returns its result. The spec is normalized
 // and validated first, so callers may pass the raw wire form.
-func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
-	n, cfg, stats, err := e.setup(spec)
+func (e *Engine) Run(spec Spec) (*Result, error) {
+	n, cfg, err := e.setup(spec)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	hash, err := n.Hash()
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
+	before := e.Tally.Runs()
 
 	// Table V derives from Table IV's fault-free runs, so the campaign
 	// executes once even when both artifacts are requested.
@@ -179,37 +121,37 @@ func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
 		case Table4:
 			t, err := tableIV()
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, "table4.txt", t.Render())
 		case Table5:
 			t, err := tableIV()
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, "table5.txt", experiments.RenderTableV(experiments.TableV(t.Runs)))
 		case Table6:
 			t, err := experiments.TableVI(cfg, experiments.TableVICampaigns(experiments.TableVIRows(e.MLNet)))
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, "table6.txt", t.Render())
 		case Table7:
 			cells, err := experiments.TableVII(cfg)
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, "table7.txt", experiments.RenderTableVII(cells))
 		case Table8:
 			cells, err := experiments.TableVIII(cfg)
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, "table8.txt", experiments.RenderTableVIII(cells))
 		case Fig5:
 			figs, err := experiments.Figure5(cfg)
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			for _, f := range figs {
 				add(name, f.Name+".csv", f.CSV())
@@ -217,28 +159,27 @@ func (e *Engine) Run(spec Spec) (*Result, Stats, error) {
 		case Fig6:
 			fig, err := experiments.Figure6(cfg)
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, fig.Name+".csv", fig.CSV())
 		case Ext:
 			cells, err := experiments.ExtensionStudy(cfg)
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, "extension_study.txt", experiments.RenderExtensionStudy(cells))
 		case Weather:
 			cells, err := experiments.WeatherStudy(cfg)
 			if err != nil {
-				return nil, stats(), err
+				return nil, err
 			}
 			add(name, "weather_study.txt", experiments.RenderWeatherStudy(cells))
 		default:
-			return nil, stats(), fmt.Errorf("report: unknown artifact %q", name)
+			return nil, fmt.Errorf("report: unknown artifact %q", name)
 		}
 	}
-	st := stats()
 	// Executed plus cached equals the planned run count, a pure function
 	// of the spec — so TotalRuns stays byte-stable across cache warmth.
-	res.TotalRuns = st.Runs
-	return res, st, nil
+	res.TotalRuns = e.Tally.Runs() - before
+	return res, nil
 }

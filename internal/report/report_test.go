@@ -158,12 +158,12 @@ func TestGoldenArtifacts(t *testing.T) {
 		t.Skip("full reduced-reps paper reproduction (~3s)")
 	}
 	eng := New(experiments.NewPool(0), newMapCache())
-	res, stats, err := eng.Run(goldenSpec())
+	res, err := eng.Run(goldenSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Runs == 0 || res.TotalRuns != stats.Runs {
-		t.Errorf("TotalRuns = %d, stats.Runs = %d", res.TotalRuns, stats.Runs)
+	if eng.Tally.Runs() == 0 || res.TotalRuns != eng.Tally.Runs() {
+		t.Errorf("TotalRuns = %d, tally runs = %d", res.TotalRuns, eng.Tally.Runs())
 	}
 	seen := map[string]bool{}
 	for _, a := range res.Artifacts {
@@ -201,9 +201,12 @@ func fastSpec() Spec {
 	return Spec{Artifacts: []string{Table4, Table5, Fig6}, Reps: 1, Steps: 600, BaseSeed: 3}
 }
 
-func runEncoded(t *testing.T, eng *Engine, spec Spec) ([]byte, Stats) {
+// runEncoded runs spec on eng with a fresh tally and returns the
+// result's encoding and the tally.
+func runEncoded(t *testing.T, eng *Engine, spec Spec) ([]byte, *experiments.Tally) {
 	t.Helper()
-	res, stats, err := eng.Run(spec)
+	eng.Tally = new(experiments.Tally)
+	res, err := eng.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func runEncoded(t *testing.T, eng *Engine, spec Spec) ([]byte, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, stats
+	return b, eng.Tally
 }
 
 // TestDeterminismAcrossShardCounts asserts the report determinism
@@ -235,19 +238,19 @@ func TestDeterminismAcrossShardCounts(t *testing.T) {
 func TestDeterminismAcrossCacheWarmth(t *testing.T) {
 	cache := newMapCache()
 	eng := New(experiments.NewPool(0), cache)
-	cold, coldStats := runEncoded(t, eng, fastSpec())
-	if coldStats.CacheHits != 0 {
-		t.Errorf("cold report had %d cache hits", coldStats.CacheHits)
+	cold, coldTally := runEncoded(t, eng, fastSpec())
+	if coldTally.Hits() != 0 {
+		t.Errorf("cold report had %d cache hits", coldTally.Hits())
 	}
-	warm, warmStats := runEncoded(t, eng, fastSpec())
+	warm, warmTally := runEncoded(t, eng, fastSpec())
 	if !bytes.Equal(cold, warm) {
 		t.Error("cold and warm report results are not byte-identical")
 	}
 	// Figure runs re-execute (their traces never travel through the
 	// cache); every table run must be served from it.
-	if want := coldStats.Runs - 1; warmStats.CacheHits != want { // fig6 is one run
+	if want := coldTally.Runs() - 1; warmTally.Hits() != want { // fig6 is one run
 		t.Errorf("warm report cache hits = %d of %d runs, want %d",
-			warmStats.CacheHits, warmStats.Runs, want)
+			warmTally.Hits(), warmTally.Runs(), want)
 	}
 	// An engine without any cache still produces the same bytes.
 	uncached, _ := runEncoded(t, New(experiments.NewPool(0), nil), fastSpec())
@@ -273,40 +276,76 @@ func TestReportAfterCampaignSharesCache(t *testing.T) {
 	}
 
 	eng := New(experiments.NewPool(0), cache)
-	_, stats, err := eng.Run(spec)
-	if err != nil {
+	if _, err := eng.Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Runs == 0 {
+	runs, hits := eng.Tally.Runs(), eng.Tally.Hits()
+	if runs == 0 {
 		t.Fatal("report executed no runs")
 	}
-	if frac := float64(stats.CacheHits) / float64(stats.Runs); frac < 0.9 {
+	if frac := float64(hits) / float64(runs); frac < 0.9 {
 		t.Errorf("report after campaign served %.0f%% from cache (%d/%d), want >= 90%%",
-			frac*100, stats.CacheHits, stats.Runs)
+			frac*100, hits, runs)
 	}
 }
 
-// TestProgressMonotonic checks the progress callback contract: counts
-// only grow and end at the final stats.
+// TestProgressMonotonic checks the tally hook contract under a
+// parallel pool: the totals OnAdd sees never exceed the tally's, its
+// largest equal the final counts, and the report's TotalRuns is the
+// run count.
 func TestProgressMonotonic(t *testing.T) {
 	eng := New(experiments.NewPool(2), newMapCache())
 	var mu sync.Mutex
 	last, lastHits := 0, 0
-	eng.Progress = func(completed, hits int) {
+	eng.Tally = &experiments.Tally{OnAdd: func(completed, hits int) {
 		mu.Lock()
 		defer mu.Unlock()
-		if completed > last {
-			last = completed
+		if hits > completed {
+			t.Errorf("OnAdd(%d, %d): more hits than runs", completed, hits)
 		}
-		if hits > lastHits {
-			lastHits = hits
-		}
-	}
-	_, stats, err := eng.Run(Spec{Artifacts: []string{Table4}, Reps: 1, Steps: 300, BaseSeed: 5})
+		last, lastHits = max(last, completed), max(lastHits, hits)
+	}}
+	res, err := eng.Run(Spec{Artifacts: []string{Table4}, Reps: 1, Steps: 300, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last != stats.Runs || lastHits != stats.CacheHits {
-		t.Errorf("final progress = (%d, %d), stats = (%d, %d)", last, lastHits, stats.Runs, stats.CacheHits)
+	runs, hits := eng.Tally.Runs(), eng.Tally.Hits()
+	if last != runs || lastHits != hits || res.TotalRuns != runs {
+		t.Errorf("final progress = (%d, %d), tally = (%d, %d), TotalRuns = %d",
+			last, lastHits, runs, hits, res.TotalRuns)
+	}
+}
+
+// TestEngineTallyAcrossRuns pins TotalRuns as the tally's growth across
+// one Run: an engine that keeps its tally over a cold and a warm Run
+// serves the same TotalRuns and the same bytes both times, while the
+// tally accumulates both.
+func TestEngineTallyAcrossRuns(t *testing.T) {
+	eng := New(experiments.NewPool(2), newMapCache())
+	var encoded [][]byte
+	var totals []int
+	for range 2 {
+		res, err := eng.Run(fastSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded = append(encoded, b)
+		totals = append(totals, res.TotalRuns)
+	}
+	if totals[0] == 0 || totals[0] != totals[1] {
+		t.Errorf("TotalRuns = %v, want one nonzero count twice", totals)
+	}
+	if !bytes.Equal(encoded[0], encoded[1]) {
+		t.Error("a reused tally changed the report bytes")
+	}
+	if got := eng.Tally.Runs(); got != 2*totals[0] {
+		t.Errorf("tally runs = %d, want %d", got, 2*totals[0])
+	}
+	if eng.Tally.Hits() == 0 {
+		t.Error("warm Run counted no cache hits")
 	}
 }

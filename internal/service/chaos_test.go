@@ -164,7 +164,7 @@ type panicSpec struct{}
 func (panicSpec) Prepare() (PreparedTask, error) {
 	return PreparedTask{
 		Hash: "feedfacefeedface",
-		Run: func(env TaskEnv) (any, TaskStats, error) {
+		Run: func(env TaskEnv) (any, error) {
 			panic("injected engine panic")
 		},
 	}, nil
@@ -193,7 +193,7 @@ func TestTaskRunPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestChaosCacheNeutrality drives executePlan through the ChaosCache
+// TestChaosCacheNeutrality drives a job's Resolve through the ChaosCache
 // and ChaosExecutor wrappers: a cache that drops every write and lies
 // about every read changes counters, never bytes; an executor fault
 // fails the batch with the injected error.
@@ -210,7 +210,7 @@ func TestChaosCacheNeutrality(t *testing.T) {
 	}
 
 	// Reference: plain environment.
-	want, _, err := executePlan(plan, TaskEnv{Exec: pool, Cache: cache})
+	want, err := experiments.Resolve(pool, cache, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,8 @@ func TestChaosCacheNeutrality(t *testing.T) {
 		FailGet: func(string) bool { return true },
 		FailPut: func(string) bool { return true },
 	}
-	got, stats, err := executePlan(plan, TaskEnv{Exec: pool, Cache: chaosCache})
+	var tally experiments.Tally
+	got, err := experiments.Resolve(pool, chaosCache, plan, &tally)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +237,8 @@ func TestChaosCacheNeutrality(t *testing.T) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Error("a faulty cache changed results; the cache must be correctness-neutral")
 	}
-	if stats.CacheHits != 0 {
-		t.Fatalf("cache hits = %d under a cache that always misses", stats.CacheHits)
+	if tally.Hits() != 0 {
+		t.Fatalf("cache hits = %d under a cache that always misses", tally.Hits())
 	}
 	if chaosCache.Injected.Load() == 0 {
 		t.Fatal("chaos cache injected no faults")
@@ -249,7 +250,7 @@ func TestChaosCacheNeutrality(t *testing.T) {
 		Inner:   pool,
 		FailRun: func(experiments.RunRequest) error { return wantErr },
 	}
-	if _, _, err := executePlan(plan, TaskEnv{Exec: chaosExec, Cache: nil}); !errors.Is(err, wantErr) {
+	if _, err := experiments.Resolve(chaosExec, nil, plan, nil); !errors.Is(err, wantErr) {
 		t.Fatalf("executor fault surfaced as %v, want %v", err, wantErr)
 	}
 	if chaosExec.Injected.Load() != 1 {

@@ -343,7 +343,7 @@ func (d *Dispatcher) recoverOne(kind *TaskKind, rec store.JournalRecord) error {
 		// The pre-crash wait is unknowable from a monotonic clock;
 		// measure from the recovery moment.
 		submittedMono:  time.Now(),
-		progressStride: progressStrideFor(prep.Total),
+		progressStride: int32(progressStrideFor(prep.Total)),
 		done:           make(chan struct{}),
 	}
 	d.mu.Lock()
@@ -494,7 +494,7 @@ func (d *Dispatcher) SubmitTask(kind *TaskKind, spec TaskSpec, priority Priority
 		status:         StatusQueued,
 		submittedAt:    now.UTC(),
 		submittedMono:  now,
-		progressStride: progressStrideFor(prep.Total),
+		progressStride: int32(progressStrideFor(prep.Total)),
 		done:           make(chan struct{}),
 	}
 	if d.journal != nil && !d.halted.Load() {
@@ -667,6 +667,7 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 }
 
 func (d *Dispatcher) viewLocked(t *task) TaskView {
+	hits := t.tally.Hits() // before Runs, so a live view never shows more hits than runs
 	v := TaskView{
 		ID:              t.id,
 		Kind:            t.kind.Name,
@@ -674,8 +675,8 @@ func (d *Dispatcher) viewLocked(t *task) TaskView {
 		Status:          t.status,
 		Priority:        t.priority,
 		TotalRuns:       t.prep.Total,
-		CompletedRuns:   int(t.completed.Load()),
-		CacheHits:       int(t.cacheHits.Load()),
+		CompletedRuns:   t.tally.Runs(),
+		CacheHits:       hits,
 		CancelRequested: t.status == StatusRunning && t.cancel.Load(),
 		Error:           t.errMsg,
 		SubmittedAt:     t.submittedAt,
@@ -762,6 +763,28 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 		}
 		return nil
 	}
+	// Tally additions arrive concurrently from run goroutines with no
+	// ordering guarantee, and never touch the dispatcher lock — under a
+	// parallel campaign that lock is contended by every status poll and
+	// metrics scrape. Timeline progress lands at stride boundaries (~16
+	// events per sized task), so a watcher sees motion without an event
+	// per run. Racing additions CAS the threshold forward; the winner
+	// alone takes the lock and appends the event.
+	t.tally.OnAdd = func(int, int) {
+		for {
+			next := t.nextProgress.Load()
+			cur := int64(t.tally.Runs())
+			if cur < next {
+				return
+			}
+			if t.nextProgress.CompareAndSwap(next, cur+int64(t.progressStride)) {
+				d.mu.Lock()
+				d.appendEventLocked(t, timelineEntry{kind: entryProgress, n: int32(cur), m: int32(t.tally.Hits())})
+				d.mu.Unlock()
+				return
+			}
+		}
+	}
 	env := TaskEnv{
 		// The hub's executor fans batches to attached workers and
 		// degrades to the pool when none are live. The pool checks for
@@ -769,35 +792,9 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 		// the same check while it waits.
 		Exec:  d.hub.Executor(d.pool.Bind(claim, check), check),
 		Cache: d.cache,
-		Progress: func(completed, cacheHits int) {
-			// Progress callbacks arrive concurrently from run
-			// goroutines once per run with no ordering guarantee. The
-			// counters are lock-free CAS-max (a stale callback cannot make
-			// a polled view regress, and the hot path never touches the
-			// dispatcher lock — under a parallel campaign that lock is
-			// contended by every status poll and metrics scrape).
-			storeMax(&t.completed, int64(completed))
-			storeMax(&t.cacheHits, int64(cacheHits))
-			// Timeline progress at stride boundaries (~16 events per
-			// sized task), so a watcher sees motion without an event per
-			// run. Racing callbacks CAS the threshold forward; the winner
-			// alone takes the lock and appends the event.
-			for {
-				next := t.nextProgress.Load()
-				cur := t.completed.Load()
-				if cur < next {
-					return
-				}
-				if t.nextProgress.CompareAndSwap(next, cur+int64(t.progressStride)) {
-					d.mu.Lock()
-					d.appendEventLocked(t, timelineEntry{kind: entryProgress, n: int32(cur), m: int32(t.cacheHits.Load())})
-					d.mu.Unlock()
-					return
-				}
-			}
-		},
+		Tally: &t.tally,
 	}
-	result, stats, err := d.safeRun(t, env)
+	result, err := d.safeRun(t, env)
 
 	// Fingerprint the result for the journal before taking the lock (a
 	// report marshals ~0.5 MB); only used if the task finalizes as done.
@@ -818,18 +815,16 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 		// that a canceled task never publishes results.
 		t.status = StatusCanceled
 		t.errMsg = ErrCanceled.Error()
-		d.appendEventLocked(t, timelineEntry{kind: entryCanceled, n: int32(t.completed.Load())})
+		d.appendEventLocked(t, timelineEntry{kind: entryCanceled, n: int32(t.tally.Runs())})
 	case err != nil:
 		t.status = StatusFailed
 		t.errMsg = err.Error()
 		d.appendEventLocked(t, timelineEntry{kind: entryFailed})
 	default:
 		t.status = StatusDone
-		t.completed.Store(int64(stats.Completed))
-		t.cacheHits.Store(int64(stats.CacheHits))
 		t.result = result
-		d.appendEventLocked(t, timelineEntry{kind: entryDone, n: int32(stats.Completed),
-			m: int32(stats.CacheHits), dur: ran.Round(time.Microsecond)})
+		d.appendEventLocked(t, timelineEntry{kind: entryDone, n: int32(t.tally.Runs()),
+			m: int32(t.tally.Hits()), dur: ran.Round(time.Microsecond)})
 	}
 	d.m.finished[t.kind.Plural][t.status].Inc()
 	d.m.taskDur[t.kind.Plural].Observe(ran.Seconds())
@@ -840,7 +835,7 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 	t.prep.Run = nil
 	d.journalTerminal(t, resultHash)
 	d.retireLocked(t)
-	status, completed, cacheHits, errMsg := t.status, t.completed.Load(), t.cacheHits.Load(), t.errMsg
+	status, completed, cacheHits, errMsg := t.status, t.tally.Runs(), t.tally.Hits(), t.errMsg
 	d.mu.Unlock()
 	close(t.done)
 	if status == StatusFailed {
@@ -848,17 +843,6 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 	} else {
 		d.log.Info("task finished", "task", t.id, "kind", t.kind.Name,
 			"status", string(status), "runs", completed, "cache_hits", cacheHits, "ran", ran)
-	}
-}
-
-// storeMax advances a monotone atomic counter to v unless it is
-// already past it.
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
 	}
 }
 
@@ -873,10 +857,10 @@ func progressDetail(completed, total, cacheHits int) string {
 // safeRun executes the task's kind-level Run with panic isolation: a
 // panicking engine fails its own task (with the panic value and stack
 // in the error) instead of taking the daemon down.
-func (d *Dispatcher) safeRun(t *task, env TaskEnv) (result any, stats TaskStats, err error) {
+func (d *Dispatcher) safeRun(t *task, env TaskEnv) (result any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			result, stats = nil, TaskStats{}
+			result = nil
 			err = fmt.Errorf("%w: %v\n%s", ErrTaskPanic, p, debug.Stack())
 			d.m.taskPanics.Inc()
 			d.log.Error("task panicked", "task", t.id, "kind", t.kind.Name, "panic", fmt.Sprint(p))

@@ -57,14 +57,14 @@ func (e ExplorationTask) Prepare() (PreparedTask, error) {
 	}
 	return PreparedTask{
 		Hash: hash,
-		Run: func(env TaskEnv) (any, TaskStats, error) {
+		Run: func(env TaskEnv) (any, error) {
 			eng := explore.New(env.Exec, env.Cache)
-			eng.Progress = env.Progress
-			rep, stats, err := eng.Run(norm)
+			eng.Tally = env.Tally
+			rep, err := eng.Run(norm)
 			if err != nil {
-				return nil, TaskStats{Completed: stats.Probes, CacheHits: stats.CacheHits}, err
+				return nil, err
 			}
-			return rep, TaskStats{Completed: stats.Probes, CacheHits: stats.CacheHits}, nil
+			return rep, nil
 		},
 	}, nil
 }

@@ -59,24 +59,18 @@ func (s JobSpec) Prepare() (PreparedTask, error) {
 	prep := PreparedTask{
 		Hash:  hash,
 		Total: len(plan),
-		Run: func(env TaskEnv) (any, TaskStats, error) {
-			outs, stats, err := executePlan(plan, env)
+		// Results keep the canonical plan order, so job output is
+		// independent of pool size and cache warmth.
+		Run: func(env TaskEnv) (any, error) {
+			outs, err := experiments.Resolve(env.Exec, env.Cache, plan, env.Tally)
 			if err != nil {
-				return nil, stats, err
+				return nil, err
 			}
-			return outs, stats, nil
+			return outs, nil
 		},
 	}
 	if len(plan) == 1 && plan[0].CacheKey != "" {
 		prep.SoleRun = &SoleRunRef{Key: plan[0].Key, CacheKey: plan[0].CacheKey}
 	}
 	return prep, nil
-}
-
-// executePlan resolves a job's planned runs cache-first (see
-// experiments.Resolve). Results keep the canonical plan order, so job
-// output is independent of pool size and cache warmth.
-func executePlan(plan []experiments.RunRequest, env TaskEnv) ([]experiments.RunOutcome, TaskStats, error) {
-	outs, completed, hits, err := experiments.Resolve(env.Exec, env.Cache, plan, env.Progress)
-	return outs, TaskStats{Completed: completed, CacheHits: hits}, err
 }

@@ -49,8 +49,8 @@ type ReportTask struct {
 }
 
 // Prepare implements TaskSpec. Total stays 0: a report's run count
-// depends on which artifacts it renders, and the engine reports it
-// through the progress counters.
+// depends on which artifacts it renders, and the engine counts it into
+// the task's tally.
 func (r ReportTask) Prepare() (PreparedTask, error) {
 	norm := r.Spec.Normalized()
 	if err := norm.Validate(); err != nil {
@@ -62,14 +62,14 @@ func (r ReportTask) Prepare() (PreparedTask, error) {
 	}
 	return PreparedTask{
 		Hash: hash,
-		Run: func(env TaskEnv) (any, TaskStats, error) {
+		Run: func(env TaskEnv) (any, error) {
 			eng := report.New(env.Exec, env.Cache)
-			eng.Progress = env.Progress
-			res, stats, err := eng.Run(norm)
+			eng.Tally = env.Tally
+			res, err := eng.Run(norm)
 			if err != nil {
-				return nil, TaskStats{Completed: stats.Runs, CacheHits: stats.CacheHits}, err
+				return nil, err
 			}
-			return res, TaskStats{Completed: stats.Runs, CacheHits: stats.CacheHits}, nil
+			return res, nil
 		},
 	}, nil
 }

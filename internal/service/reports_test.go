@@ -85,7 +85,7 @@ func TestReportEndToEnd(t *testing.T) {
 	}
 
 	eng := report.New(experiments.NewPool(0), nil)
-	want, _, err := eng.Run(smallReportSpec())
+	want, err := eng.Run(smallReportSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

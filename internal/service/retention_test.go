@@ -35,17 +35,17 @@ type gateResult struct {
 func (g gateSpec) Prepare() (PreparedTask, error) {
 	return PreparedTask{
 		Hash: fmt.Sprintf("%016x", g.n),
-		Run: func(TaskEnv) (any, TaskStats, error) {
+		Run: func(TaskEnv) (any, error) {
 			select {
 			case g.h.started <- g.n:
 			case <-g.h.stop:
-				return nil, TaskStats{}, ErrCanceled
+				return nil, ErrCanceled
 			}
 			select {
 			case out := <-g.release:
-				return out.result, TaskStats{}, out.err
+				return out.result, out.err
 			case <-g.h.stop:
-				return nil, TaskStats{}, ErrCanceled
+				return nil, ErrCanceled
 			}
 		},
 	}, nil

@@ -79,26 +79,16 @@ const (
 	RetentionHeavy RetentionClass = "heavy"
 )
 
-// TaskStats are execution-side counters reported by a kind's Run.
-type TaskStats struct {
-	// Completed is the total unit count (runs or probes), cache-served
-	// units included.
-	Completed int
-	// CacheHits is how many of them the result cache served.
-	CacheHits int
-}
-
 // TaskEnv is the execution environment the dispatcher hands a task: the
 // cancel-aware executor (the run pool, or the worker fleet), the shared
-// content-addressed result cache, and the progress sink. Cancellation is
-// cooperative and built into Exec — it starts no further run once the
+// content-addressed result cache, and the task's run tally, which the
+// kind resolves every run into (see experiments.Resolve). Cancellation
+// is cooperative and built into Exec — it starts no further run once the
 // task is canceled and returns ErrCanceled.
 type TaskEnv struct {
 	Exec  Executor
 	Cache Cache
-	// Progress, when non-nil, receives cumulative (completed, cacheHits)
-	// counts as units finish. It must be safe for concurrent use.
-	Progress func(completed, cacheHits int)
+	Tally *experiments.Tally
 }
 
 // TaskSpec is a decoded, kind-specific specification. Prepare
@@ -118,7 +108,7 @@ type PreparedTask struct {
 	// Run executes the task on the environment and returns the
 	// kind-specific result. On cancellation it returns ErrCanceled
 	// (usually surfaced through env.Exec).
-	Run func(env TaskEnv) (result any, stats TaskStats, err error)
+	Run func(env TaskEnv) (result any, err error)
 	// SoleRun, when the plan is exactly one run, names it: its RunKey
 	// and result-cache key. The results route uses it to stream the
 	// cache's canonical outcome bytes verbatim (see store.ResultCache.Encoded)
@@ -195,13 +185,10 @@ type task struct {
 	priority PriorityClass
 
 	status Status
-	// completed/cacheHits are atomic so the per-run Progress callback —
-	// the hottest dispatcher path, hit once per simulation run — can
-	// advance them without taking the dispatcher lock. They only ever
-	// move forward (CAS-max) while the task runs; the finalize path
-	// stores the authoritative totals.
-	completed   atomic.Int64
-	cacheHits   atomic.Int64
+	// tally counts the task's resolved runs and cache hits. Its counters
+	// are atomic so the per-run addition — the hottest dispatcher path,
+	// hit once per simulation run — never takes the dispatcher lock.
+	tally       experiments.Tally
 	errMsg      string
 	submittedAt time.Time
 	startedAt   *time.Time
@@ -221,13 +208,13 @@ type task struct {
 
 	// Lifecycle timeline (see timeline.go): the ordered event record,
 	// the live subscriber channels, the completed-count threshold for
-	// the next progress event (atomic: progress callbacks race to cross
-	// it and CAS elects the one that appends the event), and its stride
+	// the next progress event (atomic: tally additions race to cross it
+	// and CAS elects the one that appends the event), and its stride
 	// (immutable after construction).
 	timeline       []timelineEntry
 	subs           []chan timelineEntry
 	nextProgress   atomic.Int64
-	progressStride int
+	progressStride int32 // int32 packs with cancel into one word
 
 	cancel atomic.Bool // cooperative cancellation request
 }

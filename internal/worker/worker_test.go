@@ -197,7 +197,7 @@ func TestMultiNodeExplorationByteIdentity(t *testing.T) {
 	}
 	got := runTask(t, multi, "/v1/tasks/explorations", spec)
 
-	rep, _, err := explore.New(experiments.NewPool(0), nil).Run(spec)
+	rep, err := explore.New(experiments.NewPool(0), nil).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMultiNodeReportByteIdentity(t *testing.T) {
 	spec := report.Spec{Artifacts: []string{report.Table4, report.Fig6}, Reps: 1, Steps: 300, BaseSeed: 5}
 	got := runTask(t, multi, "/v1/tasks/reports", spec)
 
-	res, _, err := report.New(experiments.NewPool(0), nil).Run(spec)
+	res, err := report.New(experiments.NewPool(0), nil).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
