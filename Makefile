@@ -39,8 +39,9 @@ fuzz-smoke:
 # cover writes a coverage profile, prints the per-function summary tail
 # (the total), and enforces the ratchet gate: the total must not drop
 # below the COVERAGE.md snapshot minus one point (COVER_FLOOR). Raise
-# the floor when COVERAGE.md's snapshot moves up.
-COVER_FLOOR ?= 84.2
+# the floor when COVERAGE.md's snapshot moves up. CI's test step runs
+# this target, so the floor gates every push.
+COVER_FLOOR ?= 86.1
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1

@@ -1,8 +1,10 @@
-// Package adasim's root benchmarks regenerate every table and figure of
-// the paper at reduced scale (one repetition, shortened runs) and report
-// the headline rates as benchmark metrics, plus ablation benches for the
-// design choices called out in DESIGN.md and micro-benchmarks of the hot
-// paths. cmd/tables produces the full-scale artefacts.
+// Package adasim's root benchmarks time the hot paths and the
+// in-process service (the simulation step, campaigns, service, report
+// and mixed workloads), and report the ML row of Table VI and the
+// ablations of the design choices called out in DESIGN.md at reduced
+// scale (one repetition, shortened runs), which nothing else computes.
+// The paper's tables and figures come from cmd/tables, whose bytes the
+// report goldens pin.
 package adasim
 
 import (
@@ -32,7 +34,7 @@ import (
 	"adasim/internal/worker"
 )
 
-// benchCfg is the reduced campaign used by the table benches.
+// benchCfg is the reduced campaign used by the ML-row and ablation benches.
 func benchCfg() experiments.Config {
 	return experiments.Config{Reps: 1, Steps: 3000, BaseSeed: 1}
 }
@@ -172,83 +174,6 @@ func TestServiceWarmJobAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkTableIV regenerates the fault-free driving-performance table.
-func BenchmarkTableIV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableIV(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var s4Accidents float64
-		for _, row := range res.Rows {
-			if row.Scenario == scenario.S4 {
-				s4Accidents = float64(row.Accidents) / float64(row.Runs)
-			}
-		}
-		b.ReportMetric(s4Accidents*100, "S4-accident-%")
-	}
-}
-
-// BenchmarkTableV regenerates the minimal lane-line-distance table.
-func BenchmarkTableV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableIV(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := experiments.TableV(res.Runs)
-		min := rows[0].MinDist
-		for _, r := range rows {
-			if r.MinDist < min {
-				min = r.MinDist
-			}
-		}
-		b.ReportMetric(min, "min-lane-dist-m")
-	}
-}
-
-// BenchmarkFigure5 regenerates the approach speed / lane-distance series.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Figure5(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(figs)), "figures")
-	}
-}
-
-// BenchmarkFigure6 regenerates the under-attack RD/speed series.
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure6(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(fig.Series)), "series")
-	}
-}
-
-// BenchmarkTableVI regenerates the central fault-injection-vs-
-// interventions campaign (without the ML row; see BenchmarkTableVIML).
-func BenchmarkTableVI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableVI(benchCfg(), experiments.TableVICampaigns(experiments.TableVIRows(nil)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c := res.Cell(fi.TargetRelDistance, "aeb-indep"); c != nil {
-			b.ReportMetric(c.Agg.Prevented*100, "rd-aebI-prevented-%")
-		}
-		if c := res.Cell(fi.TargetRelDistance, "none"); c != nil {
-			b.ReportMetric(c.Agg.A1Rate*100, "rd-bare-A1-%")
-		}
-		if c := res.Cell(fi.TargetCurvature, "none"); c != nil {
-			b.ReportMetric(c.Agg.A2Rate*100, "curv-bare-A2-%")
-		}
-	}
-}
-
 var (
 	benchNetOnce sync.Once
 	benchNet     *nn.Network
@@ -287,39 +212,6 @@ func BenchmarkTableVIML(b *testing.B) {
 		agg := metrics.AggregateOutcomes(experiments.Outcomes(runs))
 		b.ReportMetric(agg.A1Rate*100, "rd-ml-A1-%")
 		b.ReportMetric(agg.A2Rate*100, "rd-ml-A2-%")
-	}
-}
-
-// BenchmarkTableVII regenerates the reaction-time sweep.
-func BenchmarkTableVII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, err := experiments.TableVII(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
-			if c.Fault == fi.TargetCurvature && c.Reaction == 1.0 {
-				b.ReportMetric(c.Prevented*100, "curv-1.0s-prevented-%")
-			}
-			if c.Fault == fi.TargetCurvature && c.Reaction == 3.5 {
-				b.ReportMetric(c.Prevented*100, "curv-3.5s-prevented-%")
-			}
-		}
-	}
-}
-
-// BenchmarkTableVIII regenerates the road-friction sweep.
-func BenchmarkTableVIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, err := experiments.TableVIII(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
-			if c.Fault == fi.TargetCurvature && c.FrictionScale == 0.25 {
-				b.ReportMetric(c.Prevented*100, "curv-icy-prevented-%")
-			}
-		}
 	}
 }
 

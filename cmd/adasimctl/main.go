@@ -11,10 +11,6 @@
 //	report           submit a paper-artifact report; -wait blocks
 //	task             verbs over a task of any kind:
 //	                   task status|results|wait|cancel|watch -id <task-id>
-//	status, results, wait
-//	                 short for task status|results|wait (explore-status,
-//	                 explore-results, report-status, and report-results
-//	                 are further spellings of status and results)
 //	scenarios        list the scenario catalogue (including families)
 //	health           show daemon health, queue, pool, and cache counters
 //	cache            show the result cache: memory tier and segment store
@@ -27,7 +23,7 @@
 //
 //	adasimctl submit -fault rd -driver -check -aeb indep -reps 3 -wait
 //	adasimctl submit -spec job.json
-//	adasimctl results -id j000001-1a2b3c4d
+//	adasimctl task results -id j000001-1a2b3c4d
 //	adasimctl explore -family cut-in -boundary-axis trigger_gap -driver -fault curv -wait
 //	adasimctl explore -family cut-in -method lhs -samples 32 -axes "trigger_gap=5:60" -wait
 //	adasimctl report -artifacts table6,fig6 -reps 2 -wait
@@ -62,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("adasimctl", stderr)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "adasimd base URL")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: adasimctl [-addr URL] <submit|explore|report|task|status|results|wait|scenarios|health|cache|workers> [flags]")
+		fmt.Fprintln(stderr, "usage: adasimctl [-addr URL] <submit|explore|report|task|scenarios|health|cache|workers> [flags]")
 		fmt.Fprintln(stderr, "       adasimctl task <status|results|wait|cancel|watch> -id <task-id>")
 		fs.PrintDefaults()
 	}
@@ -84,12 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return x.cmdReport(args)
 	case "task":
 		return x.cmdTask(args)
-	case "status", "explore-status", "report-status":
-		return x.cmdTask(append([]string{"status"}, args...))
-	case "results", "explore-results", "report-results":
-		return x.cmdTask(append([]string{"results"}, args...))
-	case "wait":
-		return x.cmdTask(append([]string{"wait"}, args...))
 	case "scenarios":
 		return x.getPrint("/v1/scenarios")
 	case "health":

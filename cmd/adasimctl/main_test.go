@@ -67,9 +67,9 @@ func TestRun(t *testing.T) {
 		want []string // substrings of stdout
 		err  string
 	}{
-		{"wait", []string{"wait", "-id", view.ID}, []string{`"status": "done"`}, ""},
+		{"wait", []string{"task", "wait", "-id", view.ID}, []string{`"status": "done"`}, ""},
 		{"task status", []string{"task", "status", "-id", view.ID}, []string{`"status":"done"`}, ""},
-		{"results", []string{"results", "-id", view.ID}, []string{`"results":[{"key":{"scenario":1,"gap":60,"rep":0}`, `"aeb_trigger_rate":1,"driver_brake_trigger_rate":1`}, ""},
+		{"results", []string{"task", "results", "-id", view.ID}, []string{`"results":[{"key":{"scenario":1,"gap":60,"rep":0}`, `"aeb_trigger_rate":1,"driver_brake_trigger_rate":1`}, ""},
 		{"health", []string{"health"}, []string{`"status":"ok"`}, ""},
 		{"cache", []string{"cache"}, []string{"memory tier: 1/1024 entries", "disk tier: off"}, ""},
 		{"scenarios", []string{"scenarios"}, []string{`"families"`}, ""},
@@ -77,10 +77,11 @@ func TestRun(t *testing.T) {
 			"-steps", "300", "-axes", "trigger_gap=10:50", "-wait"}, []string{`"method":"lhs"`}, ""},
 		{"report", []string{"report", "-artifacts", "table4", "-reps", "1", "-steps", "300", "-wait"},
 			[]string{"TABLE IV"}, ""},
-		{"missing id", []string{"results"}, nil, "-id is required"},
+		{"missing id", []string{"task", "results"}, nil, "-id is required"},
 		{"bad scenario", []string{"submit", "-scenarios", "S7"}, nil, `unknown scenario "S7"`},
 		{"bad aeb", []string{"submit", "-aeb", "on"}, nil, "(want off|comp|indep)"},
 		{"unknown command", []string{"frobnicate"}, nil, `unknown command "frobnicate"`},
+		{"results outside task", []string{"results", "-id", view.ID}, nil, `unknown command "results"`},
 		{"unknown task verb", []string{"task", "poke"}, nil, `unknown task verb "poke"`},
 	}
 	for _, c := range cases {
@@ -105,7 +106,7 @@ func TestRun(t *testing.T) {
 
 	// submit -wait with the canonical spellings prints the same bytes
 	// as the results of the first job.
-	results, err := ctl("results", "-id", view.ID)
+	results, err := ctl("task", "results", "-id", view.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

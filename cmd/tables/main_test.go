@@ -47,6 +47,10 @@ func TestRun(t *testing.T) {
 	}{
 		{"only 4", []string{"-only", "4", "-out", out},
 			[]string{"TABLE IV", "wrote " + filepath.Join(out, "table4.txt")}, ""},
+		{"only 7", []string{"-only", "7", "-out", out},
+			[]string{"TABLE VII", "wrote " + filepath.Join(out, "table7.txt")}, ""},
+		{"only ext", []string{"-only", "ext", "-out", out},
+			[]string{"EXTENSION STUDY", "wrote " + filepath.Join(out, "extension_study.txt")}, ""},
 		{"rows breakdown", []string{"-only", "6", "-rows", "driver,aeb-indep", "-breakdown", "-out", out},
 			[]string{"relative-distance  aeb-indep", "                   driver", "                     S6 "}, ""},
 		{"ml weights", []string{"-only", "6", "-rows", "ml-model", "-ml", "-mlweights", weights, "-out", out},

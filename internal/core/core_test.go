@@ -39,19 +39,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestInterventionLabels(t *testing.T) {
-	if (InterventionSet{}).Label() != "none" {
-		t.Error("empty set label")
-	}
-	s := InterventionSet{Driver: true, SafetyCheck: true, AEB: aebs.SourceIndependent}
-	if s.Label() != "driver+check+aeb-indep" {
-		t.Errorf("label = %s", s.Label())
-	}
-	if (InterventionSet{ML: true}).Label() != "ml" {
-		t.Errorf("ml label = %s", InterventionSet{ML: true}.Label())
-	}
-}
-
 func TestBenignRunCompletes(t *testing.T) {
 	res, err := Run(shortOpts(scenario.S1, 60))
 	if err != nil {

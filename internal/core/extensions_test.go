@@ -141,10 +141,3 @@ func TestCombinedClassicAndExtendedFault(t *testing.T) {
 		t.Error("combined faults never activated")
 	}
 }
-
-// TestMonitorLabel checks the intervention label includes the monitor.
-func TestMonitorLabel(t *testing.T) {
-	if got := (InterventionSet{Monitor: true}).Label(); got != "monitor" {
-		t.Errorf("label = %s", got)
-	}
-}

@@ -74,35 +74,6 @@ type InterventionSet struct {
 	DriverPriorityOverAEB bool `json:"driver_priority_over_aeb,omitempty"`
 }
 
-// Label returns a short description matching the Table VI row labels.
-func (s InterventionSet) Label() string {
-	switch {
-	case !s.Driver && !s.SafetyCheck && s.AEB == 0 && !s.ML && !s.Monitor:
-		return "none"
-	default:
-		lbl := ""
-		if s.Driver {
-			lbl += "driver+"
-		}
-		if s.SafetyCheck {
-			lbl += "check+"
-		}
-		switch s.AEB {
-		case aebs.SourceCompromised:
-			lbl += "aeb-comp+"
-		case aebs.SourceIndependent:
-			lbl += "aeb-indep+"
-		}
-		if s.ML {
-			lbl += "ml+"
-		}
-		if s.Monitor {
-			lbl += "monitor+"
-		}
-		return lbl[:len(lbl)-1]
-	}
-}
-
 // Options configures one closed-loop run.
 type Options struct {
 	// Scenario is the driving scenario instance to run.

@@ -10,7 +10,10 @@ import (
 // the local implementation, shared by the CLIs, the campaign service,
 // and remote worker nodes; the service's worker hub wraps it to fan
 // batches out to remote workers. On error Execute still returns
-// len(reqs) outcomes, with the runs that succeeded filled in.
+// len(reqs) outcomes, with the runs that succeeded filled in. onDone is
+// never called after Execute returns, on success or on error: Pool
+// waits for its run goroutines, and the fleet hub takes a call's
+// delivery lock before it fails the call.
 type Executor interface {
 	Execute(reqs []RunRequest, onDone func(i int, ro RunOutcome)) ([]RunOutcome, error)
 }
@@ -97,12 +100,12 @@ func Resolve(exec Executor, cache Cache, reqs []RunRequest, tally *Tally) ([]Run
 	}
 
 	// succeeded[j] records per-run completion: executors invoke onDone
-	// only for runs that finished without error. The slice is a per-call
-	// allocation, never pooled: an executor whose Execute fails (a
-	// cancellation tick, a batch exhausting its lease attempts) is not
-	// bound to have stopped every onDone by the time it returns. The
-	// flags are atomic and the slice is reachable only from this call,
-	// so such a late store is harmless — a pooled slice could have been
+	// only for runs that finished without error, and never after Execute
+	// returns (see Executor). As a safety net the slice is a per-call
+	// allocation, never pooled, with atomic flags: should an executor
+	// break that promise when its Execute fails (a cancellation tick, a
+	// batch exhausting its lease attempts), the late store lands in a
+	// slice reachable only from this call. A pooled slice could have been
 	// recycled into another batch by then, and the stray store would
 	// mark one of its never-run requests as succeeded and Put a
 	// zero-value outcome under a real content hash. A flag observed true

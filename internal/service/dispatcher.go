@@ -831,8 +831,11 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 	d.closeSubsLocked(t)
 	// Terminal records only serve views and results: drop the Run
 	// closure so a retained record costs its result, not its expanded
-	// plan (a 10k-run job's plan is megabytes of resolved options).
+	// plan (a 10k-run job's plan is megabytes of resolved options). The
+	// progress hook goes too: Run has returned, and no executor calls
+	// onDone after its Execute returns, so nothing adds to the tally.
 	t.prep.Run = nil
+	t.tally.OnAdd = nil
 	d.journalTerminal(t, resultHash)
 	d.retireLocked(t)
 	status, completed, cacheHits, errMsg := t.status, t.tally.Runs(), t.tally.Hits(), t.errMsg
