@@ -619,7 +619,7 @@ func benchMixedWorkloadOn(b *testing.B, d *service.Dispatcher) {
 
 // mixedWorkloadOp is one mixed-workload op: one bulk report already
 // running, a second bulk report and four interactive jobs queued
-// behind it, each lane dispatching its tasks in submission order
+// behind it, each lane starting its tasks in submission order
 // (asserted from the timeline). Returns the completed-run count.
 func mixedWorkloadOp(b *testing.B, d *service.Dispatcher, base int64) int {
 	jobSpec := func(seed int64) service.JobSpec {
@@ -658,11 +658,11 @@ func mixedWorkloadOp(b *testing.B, d *service.Dispatcher, base int64) int {
 		}
 		runs += view.CompletedRuns
 	}
-	// Each lane dispatches its class FIFO, one task at a time: a task's
-	// started event follows the done event of the task before it in its
-	// lane. Both are stamped under the dispatcher lock, so the order is
-	// exact; finish times across lanes are not ordered (both lanes take
-	// Runners while the interactive one is between tasks).
+	// Each lane dispatches its class FIFO: a task's started event follows
+	// the started event of the task before it in its lane. Starts are
+	// stamped in order under the dispatcher lock, so the order is exact;
+	// finish times are not ordered (a lane starts its next task once the
+	// running one's runs all hold a Runner, and both lanes take Runners).
 	at := func(id, event string) time.Time {
 		events, _ := d.TaskEvents(id)
 		for _, ev := range events {
@@ -675,8 +675,8 @@ func mixedWorkloadOp(b *testing.B, d *service.Dispatcher, base int64) int {
 	}
 	for _, lane := range [][]service.TaskView{{running, queued}, jobs} {
 		for i := 1; i < len(lane); i++ {
-			if prev, next := lane[i-1].ID, lane[i].ID; at(next, service.EventStarted).Before(at(prev, service.EventDone)) {
-				b.Fatalf("task %s started before %s, queued ahead of it in its lane, was done", next, prev)
+			if prev, next := lane[i-1].ID, lane[i].ID; at(next, service.EventStarted).Before(at(prev, service.EventStarted)) {
+				b.Fatalf("task %s started before %s, queued ahead of it in its lane", next, prev)
 			}
 		}
 	}

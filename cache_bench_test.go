@@ -42,7 +42,7 @@ func cacheBenchStores(b *testing.B) (jsonDir, segDir string, keys []string, entr
 		k := fmt.Sprintf("%064x", sha256.Sum256(seed[:]))
 		keys[i] = k
 		out := metrics.NewOutcome()
-		out.Steps = 600 + i%400
+		out.Steps = int32(600 + i%400)
 		out.Duration = float64(i%400) * 0.01
 		enc, err := json.Marshal(out)
 		if err != nil {

@@ -130,7 +130,7 @@ func (p *Platform) egoOutOfOwnLane(d float64) bool {
 // batch-group membership so hub peers stop waiting for it.
 func (p *Platform) finalize() {
 	p.finished = true
-	p.outcome.Steps = p.step
+	p.outcome.Steps = int32(p.step)
 	p.outcome.Duration = p.world.Time()
 	if p.followCount > 0 {
 		p.outcome.FollowingDistance = p.followSum / float64(p.followCount)

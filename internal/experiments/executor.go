@@ -109,8 +109,8 @@ type PoolOptions struct {
 // are concurrent; Execute is safe for concurrent use.
 //
 // When every Runner is busy, runs wait, and a freed Runner is handed
-// over by Claim rank. Callers without a Claim rank as interactive, so a
-// pool only they use is plain FIFO.
+// over by Claim rank, then claim age. Callers without a Claim rank as
+// interactive, so a pool only they use is FIFO by Execute call.
 //
 // A run that panics fails with ErrRunPanic and its Runner is replaced,
 // since the platform may have been left mid-step.
@@ -130,20 +130,37 @@ type waiter struct {
 
 // Claim is a caller's standing when the pool hands a freed Runner to a
 // waiting run: lower ranks first — a promoted bulk claim (-1), then
-// interactive claims and the zero Claim (0), then bulk claims (1) — and
-// the oldest waiting run within a rank.
+// interactive claims and claimless callers (0), then bulk claims (1) —
+// and within a rank the earliest-made claim's oldest waiting run. A
+// claimless Execute call counts as a claim made when the call began.
 type Claim struct {
 	rank    atomic.Int32
 	waiting atomic.Int32 // runs of this claim's batches not yet started
+	seq     uint64       // creation order: earlier claims win their rank
+	started chan struct{}
+	closed  atomic.Bool // started has been closed
 }
+
+// claimSeq numbers claims in creation order.
+var claimSeq atomic.Uint64
 
 // NewClaim returns an interactive claim or, with bulk, a bulk one.
 func NewClaim(bulk bool) *Claim {
-	c := new(Claim)
+	c := &Claim{seq: claimSeq.Add(1), started: make(chan struct{})}
 	if bulk {
 		c.rank.Store(1)
 	}
 	return c
+}
+
+// Started is closed once the claim's first batch has handed every run a
+// Runner, or has stopped early at a failed check.
+func (c *Claim) Started() <-chan struct{} { return c.started }
+
+func (c *Claim) markStarted() {
+	if c.started != nil && c.closed.CompareAndSwap(false, true) {
+		close(c.started)
+	}
 }
 
 // Promote puts a bulk claim's runs ahead of every other waiting run
@@ -221,7 +238,7 @@ func (p *Pool) execute(reqs []RunRequest, onDone func(i int, ro RunOutcome), cla
 		return nil, nil
 	}
 	if claim == nil {
-		claim = new(Claim)
+		claim = &Claim{seq: claimSeq.Add(1)}
 	}
 	outs := make([]RunOutcome, len(reqs))
 	errs := make([]error, len(reqs))
@@ -250,6 +267,7 @@ func (p *Pool) execute(reqs []RunRequest, onDone func(i int, ro RunOutcome), cla
 			p.release(r)
 		}()
 	}
+	claim.markStarted()
 	wg.Wait()
 	if stopped != nil {
 		return outs, stopped
@@ -284,8 +302,8 @@ func (p *Pool) Queued() int {
 	return len(p.waiters)
 }
 
-// release hands r to the oldest waiting run of the best rank, or
-// returns it to the idle set when no run waits.
+// release hands r to the oldest waiting run of the earliest claim of
+// the best rank, or returns it to the idle set when no run waits.
 func (p *Pool) release(r *Runner) {
 	p.mu.Lock()
 	if len(p.waiters) == 0 {
@@ -295,7 +313,8 @@ func (p *Pool) release(r *Runner) {
 	}
 	best := 0
 	for i, w := range p.waiters {
-		if w.claim.rank.Load() < p.waiters[best].claim.rank.Load() {
+		b := p.waiters[best].claim
+		if rank, bRank := w.claim.rank.Load(), b.rank.Load(); rank < bRank || rank == bRank && w.claim.seq < b.seq {
 			best = i
 		}
 	}

@@ -203,10 +203,52 @@ func awaitQueued(t *testing.T, pool *Pool, n int) {
 	}
 }
 
+// TestClaimStarted pins Claim.Started: it closes once every run of the
+// claim's first batch holds a Runner, not while one still waits, and
+// also when a batch stops early at a failed check.
+func TestClaimStarted(t *testing.T) {
+	pool, started, step := handoffPool()
+	claim := NewClaim(false)
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.Bind(claim, nil).Execute(poolReqs(2, 1), nil)
+		done <- err
+	}()
+	<-started
+	select {
+	case <-claim.Started():
+		t.Fatal("Started closed while a run waits for the Runner")
+	default:
+	}
+	step <- struct{}{}
+	<-started
+	select {
+	case <-claim.Started():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Started still open with every run holding a Runner")
+	}
+	step <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	stop := errors.New("stop")
+	stopped := NewClaim(true)
+	if _, err := pool.Bind(stopped, func() error { return stop }).Execute(poolReqs(2, 1), nil); !errors.Is(err, stop) {
+		t.Fatalf("stopped batch: %v, want the check's error", err)
+	}
+	select {
+	case <-stopped.Started():
+	default:
+		t.Fatal("Started still open after the batch stopped at its check")
+	}
+}
+
 // TestPoolHandoffOrder pins the handoff rule: a freed Runner goes to the
-// oldest waiting run of the best rank — a promoted bulk claim, then
-// interactive claims and claimless callers in arrival order, then bulk
-// claims — and a claim reports unstarted runs as waiting.
+// earliest claim's waiting run of the best rank — a promoted bulk claim,
+// then interactive claims and claimless callers (a claimless call counts
+// as a claim made when it began), then bulk claims — and a claim reports
+// unstarted runs as waiting.
 func TestPoolHandoffOrder(t *testing.T) {
 	pool, started, step := handoffPool()
 	bulk, late, inter := NewClaim(true), NewClaim(true), NewClaim(false)

@@ -35,7 +35,7 @@ func (c *mapCache) Put(key string, out metrics.Outcome) {
 
 // fakeOutcome is the synthetic outcome of the run with the given seed.
 func fakeOutcome(seed int64) metrics.Outcome {
-	return metrics.Outcome{Steps: int(seed), Duration: float64(seed) / 10}
+	return metrics.Outcome{Steps: int32(seed), Duration: float64(seed) / 10}
 }
 
 // fakeExec executes runs synthetically, failing the runs whose seed is

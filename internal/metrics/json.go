@@ -73,7 +73,7 @@ type outcomeWire struct {
 	MinLaneLineDist   infFloat `json:"min_lane_line_dist"`
 
 	Duration float64 `json:"duration"`
-	Steps    int     `json:"steps"`
+	Steps    int32   `json:"steps"`
 }
 
 // MarshalJSON encodes the outcome in the stable wire format. The

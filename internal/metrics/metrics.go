@@ -10,7 +10,7 @@ import (
 )
 
 // Accident classifies the terminal accident of a run (Section IV-C).
-type Accident int
+type Accident uint8
 
 // Accident classes.
 const (
@@ -89,16 +89,17 @@ func (tr *Trace) Len() int { return len(tr.Samples) }
 
 // Outcome summarises one run.
 type Outcome struct {
-	Accident   Accident
-	AccidentAt float64 // time of the accident; -1 if none
+	// The class, the two flags and the step count share one word, so a
+	// 12-run result slice fits the 2,048-byte allocation class. The wire
+	// order is outcomeWire's, not this one.
+	Accident Accident
+	HazardH1 bool  // safety-distance violation occurred
+	HazardH2 bool  // too-close-to-lane-line hazard occurred
+	Steps    int32 // simulated steps
 
-	// The two flags sit together so they share one word: a 12-run
-	// result slice then fits a smaller allocation class. The wire order
-	// is outcomeWire's, not this one.
-	HazardH1 bool    // safety-distance violation occurred
-	HazardH2 bool    // too-close-to-lane-line hazard occurred
-	H1At     float64 // first H1 time; -1 if none
-	H2At     float64 // first H2 time; -1 if none
+	AccidentAt float64 // time of the accident; -1 if none
+	H1At       float64 // first H1 time; -1 if none
+	H2At       float64 // first H2 time; -1 if none
 
 	FaultFirstAt  float64 // first fault injection; -1 if none
 	FCWAt         float64 // first FCW; -1 if never
@@ -116,7 +117,6 @@ type Outcome struct {
 	MinLaneLineDist   float64 // minimum body-edge distance to a lane line (m)
 
 	Duration float64 // simulated time (s)
-	Steps    int
 }
 
 // Prevented reports whether the run avoided an accident.

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,8 +78,9 @@ type Config struct {
 	MaxReportRecords int
 	// AgeAfter is the aging rule: a running bulk task with runs waiting
 	// for a runner may be overtaken by this many interactive task starts;
-	// the next one promotes it, and its runs then take freed runners
-	// first until it finishes. Zero means 4.
+	// the next one promotes it, together with every other running bulk
+	// task so the bulk lane stays FIFO, and their runs then take freed
+	// runners first until they finish. Zero means 4.
 	AgeAfter int
 	// JournalDir, when non-empty, enables the write-ahead task journal:
 	// a submission is appended (and fsynced) before it is queued, so an
@@ -166,14 +168,16 @@ func (c Config) retentionCap(class RetentionClass) int {
 // Dispatcher owns the task queue, the run pool, and the result cache.
 //
 // Tasks of every registered kind are admitted into one bounded queue,
-// FIFO per priority class, and each class's scheduler lane executes its
-// tasks one at a time. Each task's runs fan out over the shared
-// experiments.Pool, whose Runners keep long-lived core.Platforms
-// serviced via Reset, so the steady-state cost of a run is the closed
-// loop itself. The pool hands a freed Runner to interactive runs before
-// bulk ones, and the aging rule promotes an overtaken bulk task. Results
-// land in slots indexed by the canonical run order, which keeps task
-// output independent of pool size and task interleaving.
+// FIFO per priority class, and each class's scheduler lane starts its
+// tasks in order: the next one once every run of the newest task's first
+// batch holds a Runner, or once that task has finished. Each task's runs
+// fan out over the shared experiments.Pool, whose Runners keep
+// long-lived core.Platforms serviced via Reset, so the steady-state cost
+// of a run is the closed loop itself. The pool hands a freed Runner to
+// interactive runs before bulk ones, and within a class to the
+// earliest-started task; the aging rule promotes overtaken bulk tasks.
+// Results land in slots indexed by the canonical run order, which keeps
+// task output independent of pool size and task interleaving.
 type Dispatcher struct {
 	cfg   Config
 	cache *store.ResultCache
@@ -194,16 +198,23 @@ type Dispatcher struct {
 	tasks    map[string]*task
 	retained map[RetentionClass]*classRecords
 	queue    taskQueue
-	// The aging rule's state: the claim of the bulk lane's latest task,
-	// and the interactive starts counted against it.
-	bulkClaim *experiments.Claim
-	overtakes int
-	seq       int
+	// The aging rule's state: the bulk lane's running tasks with their
+	// claims in start order, and the interactive starts counted since the
+	// latest of them started.
+	bulkRunning []bulkRun
+	overtakes   int
+	seq         int
 
 	draining  bool
-	halted    atomic.Bool // crash simulation: suppress journal writes
-	lanes     sync.WaitGroup
-	schedDone chan struct{} // closed once both lanes have returned
+	halted    atomic.Bool    // crash simulation: suppress journal writes
+	lanes     sync.WaitGroup // the lanes and the tasks they started
+	schedDone chan struct{}  // closed once both lanes and their tasks have returned
+}
+
+// bulkRun is a running bulk task and its standing in the run pool.
+type bulkRun struct {
+	t     *task
+	claim *experiments.Claim
 }
 
 // RecoveryStats summarizes the journal replay performed at boot.
@@ -335,7 +346,6 @@ func (d *Dispatcher) recoverOne(kind *TaskKind, rec store.JournalRecord) error {
 	t := &task{
 		id:          rec.ID,
 		kind:        kind,
-		hash:        prep.Hash,
 		prep:        prep,
 		priority:    priority,
 		status:      StatusQueued,
@@ -369,16 +379,15 @@ func shortHash(h string) string {
 // task that no longer replays, so its ID answers over the API instead
 // of vanishing.
 func (d *Dispatcher) recordReplayFailure(kind *TaskKind, rec store.JournalRecord, cause error) {
-	now := time.Now().UTC()
 	t := &task{
-		id:          rec.ID,
-		kind:        kind,
-		priority:    kind.Priority,
-		status:      StatusFailed,
-		errMsg:      fmt.Sprintf("journal replay: %v", cause),
-		submittedAt: rec.At,
-		finishedAt:  &now,
-		done:        make(chan struct{}),
+		id:           rec.ID,
+		kind:         kind,
+		priority:     kind.Priority,
+		status:       StatusFailed,
+		errMsg:       fmt.Sprintf("journal replay: %v", cause),
+		submittedAt:  rec.At,
+		finishedMono: time.Now(),
+		done:         make(chan struct{}),
 	}
 	close(t.done)
 	d.mu.Lock()
@@ -488,7 +497,6 @@ func (d *Dispatcher) SubmitTask(kind *TaskKind, spec TaskSpec, priority Priority
 	t := &task{
 		id:             fmt.Sprintf("%s%06d-%s", kind.Prefix, d.seq, prep.Hash[:8]),
 		kind:           kind,
-		hash:           prep.Hash,
 		prep:           prep,
 		priority:       priority,
 		status:         StatusQueued,
@@ -544,13 +552,13 @@ func (d *Dispatcher) taskResult(id string) (any, string, *TaskKind, *SoleRunRef,
 	}
 	switch t.status {
 	case StatusDone:
-		return t.result, t.hash, t.kind, t.prep.SoleRun, true, nil
+		return t.result, t.prep.Hash, t.kind, t.prep.SoleRun, true, nil
 	case StatusFailed:
-		return nil, t.hash, t.kind, nil, true, fmt.Errorf("service: %s %s failed: %s", t.kind.Name, id, t.errMsg)
+		return nil, t.prep.Hash, t.kind, nil, true, fmt.Errorf("service: %s %s failed: %s", t.kind.Name, id, t.errMsg)
 	case StatusCanceled:
-		return nil, t.hash, t.kind, nil, true, fmt.Errorf("service: %s %s was canceled", t.kind.Name, id)
+		return nil, t.prep.Hash, t.kind, nil, true, fmt.Errorf("service: %s %s was canceled", t.kind.Name, id)
 	default:
-		return nil, t.hash, t.kind, nil, true, fmt.Errorf("service: %s %s is %s", t.kind.Name, id, t.status)
+		return nil, t.prep.Hash, t.kind, nil, true, fmt.Errorf("service: %s %s is %s", t.kind.Name, id, t.status)
 	}
 }
 
@@ -589,10 +597,7 @@ func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 		d.m.queueAdd(t, -1)
 		d.m.cancelQueued.Inc()
 		t.cancel.Store(true)
-		mono := time.Now()
-		now := mono.UTC()
-		t.finishedAt = &now
-		t.finishedMono = mono
+		t.finishedMono = time.Now()
 		t.status = StatusCanceled
 		t.errMsg = "canceled while queued"
 		t.prep.Run = nil // release the plan; it will never execute
@@ -612,11 +617,12 @@ func (d *Dispatcher) Cancel(id string) (TaskView, error) {
 			d.log.Info("task cancellation requested", "task", t.id, "kind", t.kind.Name)
 		}
 		t.cancel.Store(true)
-		if queueClass(t.priority) == PriorityBulk {
-			// The bulk lane's task: let its waiting run take the next
-			// freed Runner, find the flag and stop, rather than wait
-			// behind interactive runs.
-			d.bulkClaim.Promote()
+		// A bulk task's waiting run takes the next freed Runner, finds the
+		// flag and stops, rather than wait behind interactive runs.
+		for _, r := range d.bulkRunning {
+			if r.t == t {
+				r.claim.Promote()
+			}
 		}
 	default:
 		return d.viewLocked(t), ErrTaskTerminal
@@ -656,8 +662,8 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("service: drain: %w", ctx.Err())
 	}
-	// Both lanes have returned, so no task is executing: every run and
-	// remote batch a task started has settled.
+	// Both lanes and every task they started have returned, so no task
+	// is executing: every run and remote batch a task started has settled.
 	d.hub.Close()
 	if d.journal != nil {
 		d.journal.Close()
@@ -671,7 +677,7 @@ func (d *Dispatcher) viewLocked(t *task) TaskView {
 	v := TaskView{
 		ID:              t.id,
 		Kind:            t.kind.Name,
-		SpecHash:        t.hash,
+		SpecHash:        t.prep.Hash,
 		Status:          t.status,
 		Priority:        t.priority,
 		TotalRuns:       t.prep.Total,
@@ -680,8 +686,8 @@ func (d *Dispatcher) viewLocked(t *task) TaskView {
 		CancelRequested: t.status == StatusRunning && t.cancel.Load(),
 		Error:           t.errMsg,
 		SubmittedAt:     t.submittedAt,
-		StartedAt:       t.startedAt,
-		FinishedAt:      t.finishedAt,
+		StartedAt:       wallTime(t.startedMono),
+		FinishedAt:      wallTime(t.finishedMono),
 	}
 	// Monotonic durations, live for non-terminal tasks. A task that
 	// never started (canceled while queued) reports its whole life as
@@ -698,6 +704,15 @@ func (d *Dispatcher) viewLocked(t *task) TaskView {
 	return v
 }
 
+// wallTime is the UTC wall time of a monotonic reading, nil if unset.
+func wallTime(mono time.Time) *time.Time {
+	if mono.IsZero() {
+		return nil
+	}
+	at := mono.UTC()
+	return &at
+}
+
 // monoMillis is the duration from a monotonic start to a monotonic end
 // (now when end is zero), in milliseconds at microsecond resolution.
 func monoMillis(start, end time.Time) float64 {
@@ -707,11 +722,16 @@ func monoMillis(start, end time.Time) float64 {
 	return float64(end.Sub(start).Microseconds()) / 1e3
 }
 
-// scheduler is the lane of one priority class: it executes the class's
-// queued tasks one at a time, FIFO. The popped task transitions to
-// running under the same lock, so a concurrent Cancel can never observe
-// it as still queued. An interactive start also applies the aging rule
-// to the bulk lane's running task.
+// scheduler is the lane of one priority class: it starts the class's
+// queued tasks FIFO, each on its own goroutine, and pops the next one
+// once the newest task's first Execute batch has handed every run a
+// Runner, or once that task has finished (an all-hit task never calls
+// Execute; runs leased to remote workers never take a Runner). The
+// newest task then has no run waiting, and the pool serves an older
+// task's later batches first, so the rule bounds itself. The popped task
+// transitions to running under the same lock, so a concurrent Cancel
+// can never observe it as still queued. An interactive start also
+// applies the aging rule to the bulk lane's running tasks.
 func (d *Dispatcher) scheduler(class PriorityClass) {
 	defer d.lanes.Done()
 	for {
@@ -728,25 +748,37 @@ func (d *Dispatcher) scheduler(class PriorityClass) {
 		d.m.queueAdd(t, -1)
 		claim := experiments.NewClaim(class == PriorityBulk)
 		if class == PriorityBulk {
-			d.bulkClaim, d.overtakes = claim, 0
-		} else if d.bulkClaim != nil && d.bulkClaim.Waiting() {
-			if d.overtakes++; d.overtakes > d.cfg.AgeAfter && d.bulkClaim.Promote() {
-				d.m.agingPromotions.Inc()
-				d.log.Info("running bulk task promoted", "overtaken_by", t.id)
+			d.bulkRunning, d.overtakes = append(d.bulkRunning, bulkRun{t, claim}), 0
+		} else if slices.ContainsFunc(d.bulkRunning, func(r bulkRun) bool { return r.claim.Waiting() }) {
+			// Promoting every running bulk task keeps the bulk lane FIFO.
+			if d.overtakes++; d.overtakes > d.cfg.AgeAfter {
+				promoted := false
+				for _, r := range d.bulkRunning {
+					promoted = r.claim.Promote() || promoted
+				}
+				if promoted {
+					d.m.agingPromotions.Inc()
+					d.log.Info("running bulk tasks promoted", "overtaken_by", t.id)
+				}
 			}
 		}
-		mono := time.Now()
-		now := mono.UTC()
 		t.status = StatusRunning
-		t.startedAt = &now
-		t.startedMono = mono
-		wait := mono.Sub(t.submittedMono)
+		t.startedMono = time.Now()
+		wait := t.startedMono.Sub(t.submittedMono)
 		d.m.queueWait[t.kind.Plural][class].Observe(wait.Seconds())
-		d.appendEventLocked(t, timelineEntry{kind: entryStarted, dur: wait.Round(time.Microsecond)})
+		d.appendEventLocked(t, timelineEntry{kind: entryStarted})
+		d.lanes.Add(1)
 		d.mu.Unlock()
 		d.log.Info("task started", "task", t.id, "kind", t.kind.Name,
 			"priority", string(class), "queue_wait", wait)
-		d.executeTask(t, claim)
+		go func() {
+			defer d.lanes.Done()
+			d.executeTask(t, claim)
+		}()
+		select {
+		case <-claim.Started():
+		case <-t.done:
+		}
 	}
 }
 
@@ -800,15 +832,14 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 	// report marshals ~0.5 MB); only used if the task finalizes as done.
 	var resultHash string
 	if d.journal != nil && err == nil && !t.cancel.Load() {
-		resultHash = wireHash(t.kind, t.hash, result)
+		resultHash = wireHash(t.kind, t.prep.Hash, result)
 	}
 
 	endMono := time.Now()
-	end := endMono.UTC()
 	ran := endMono.Sub(t.startedMono)
 	d.mu.Lock()
-	t.finishedAt = &end
 	t.finishedMono = endMono
+	d.bulkRunning = slices.DeleteFunc(d.bulkRunning, func(r bulkRun) bool { return r.t == t })
 	switch {
 	case errors.Is(err, ErrCanceled) || t.cancel.Load():
 		// Cancellation wins even over a completed Run: the contract is
@@ -823,8 +854,7 @@ func (d *Dispatcher) executeTask(t *task, claim *experiments.Claim) {
 	default:
 		t.status = StatusDone
 		t.result = result
-		d.appendEventLocked(t, timelineEntry{kind: entryDone, n: int32(t.tally.Runs()),
-			m: int32(t.tally.Hits()), dur: ran.Round(time.Microsecond)})
+		d.appendEventLocked(t, timelineEntry{kind: entryDone, n: int32(t.tally.Runs()), m: int32(t.tally.Hits())})
 	}
 	d.m.finished[t.kind.Plural][t.status].Inc()
 	d.m.taskDur[t.kind.Plural].Observe(ran.Seconds())

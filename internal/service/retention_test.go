@@ -408,14 +408,14 @@ func TestEvictedRecordsUnreachable(t *testing.T) {
 // that 2,000 finished jobs add, each run through the stub run seam with
 // a distinct seed so every run executes and the timeline carries its
 // full progress trail. The result cache is kept at capacity by the
-// warm-up, so only the records grow. The bounds sit between the compact
-// record (~3.6 KB for 12 runs, ~1.2 KB for one) and the one that held a
-// string-rendered timeline and padded outcomes (~4.8 KB and ~1.6 KB).
-// They were set on go1.24.0 linux/amd64, where the probe reads
-// 3,564–3,569 B and 1,171–1,172 B, plain and under -race. The margins
-// (~230 B and ~130 B) absorb run-to-run noise, not a different
-// toolchain's size classes or map layout: re-measure on a new Go
-// version or architecture before reading a failure as a record that
+// warm-up, so only the records grow. The bounds sit between the packed
+// record (~3.1 KB for 12 runs, ~1.0 KB for one) and the one before it,
+// with 184-B outcomes, 32-B timeline entries and two *time.Time stamps
+// (~3.6 KB and ~1.2 KB). They were set on go1.24.0 linux/amd64, where
+// the probe reads 3,067–3,073 B and 1,027 B, plain and under -race.
+// The margins (~130 B and ~70 B) absorb run-to-run noise, not a
+// different toolchain's size classes or map layout: re-measure on a new
+// Go version or architecture before reading a failure as a record that
 // grew.
 func TestRetainedRecordBytes(t *testing.T) {
 	for _, tc := range []struct {
@@ -423,8 +423,8 @@ func TestRetainedRecordBytes(t *testing.T) {
 		reps  int
 		bound float64
 	}{
-		{"12-run", 12, 3800},
-		{"single-run", 1, 1300},
+		{"12-run", 12, 3200},
+		{"single-run", 1, 1100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newChaosDispatcher(t, Config{Workers: 2, CacheEntries: 16}, stubRun)

@@ -180,8 +180,7 @@ func Kinds() []*TaskKind { return taskKinds }
 type task struct {
 	id       string
 	kind     *TaskKind
-	hash     string
-	prep     PreparedTask
+	prep     PreparedTask // prep.Hash is the spec hash
 	priority PriorityClass
 
 	status Status
@@ -191,17 +190,15 @@ type task struct {
 	tally       experiments.Tally
 	errMsg      string
 	submittedAt time.Time
-	startedAt   *time.Time
-	finishedAt  *time.Time
 	result      any           // kind-specific, set once status is done
 	done        chan struct{} // closed on done/failed/canceled
 
-	// Monotonic-clock twins of the wall timestamps above. The wall
-	// times serve the API but lose Go's monotonic reading through
-	// .UTC(), so durations derived from them would jump with clock
-	// steps; queue-wait/run-time durations (TaskView, the queue-wait and
-	// task-duration histograms) come from these instead. Recovered
-	// tasks get their recovery moment, not the pre-crash submission.
+	// Monotonic clock readings of the lifecycle. Queue-wait and run-time
+	// durations (TaskView, the timeline, the queue-wait and task-duration
+	// histograms) come from these, so they never jump with clock steps;
+	// the view's started and finished wall times are their UTC forms.
+	// A recovered task's submission reading is its recovery moment, not
+	// the pre-crash submission (submittedAt keeps that).
 	submittedMono time.Time
 	startedMono   time.Time
 	finishedMono  time.Time

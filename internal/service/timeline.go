@@ -63,12 +63,12 @@ func progressStrideFor(total int) int {
 
 // timelineEntry is the retained form of one timeline event: when, which
 // event, and its numbers. task.event renders the detail text on read
-// from the entry and the task's fixed fields, so a record holds no
-// strings per event and the dispatcher formats nothing under d.mu.
+// from the entry and the task's fixed fields (the started and done
+// durations from its monotonic readings), so a record holds no strings
+// per event and the dispatcher formats nothing under d.mu.
 type timelineEntry struct {
-	ts   int64         // unix nanoseconds
-	dur  time.Duration // queue wait (started) or run time (done)
-	n, m int32         // queue depth, or completed runs and cache hits
+	ts   int64 // unix nanoseconds
+	n, m int32 // queue depth, or completed runs and cache hits
 	kind entryKind
 }
 
@@ -93,15 +93,15 @@ var entryEvents = [...]string{
 	EventCancelRequested, EventCanceled, EventCanceled, EventFailed, EventDone,
 }
 
-// event renders an entry as its wire event. It reads t.errMsg only for
-// the failed entry, which is appended after errMsg's last write, so an
-// entry copied under d.mu or received from a subscription renders
-// outside the lock.
+// event renders an entry as its wire event. It reads t.errMsg and the
+// monotonic readings only for the entries appended after their last
+// write, so an entry copied under d.mu or received from a subscription
+// renders outside the lock.
 func (t *task) event(e timelineEntry) TimelineEvent {
 	var detail string
 	switch e.kind {
 	case entrySubmitted, entryRecovered:
-		detail = fmt.Sprintf("%s %s, spec %s", t.kind.Name, queueClass(t.priority), shortHash(t.hash))
+		detail = fmt.Sprintf("%s %s, spec %s", t.kind.Name, queueClass(t.priority), shortHash(t.prep.Hash))
 		if e.kind == entryRecovered {
 			detail += " (recovered from journal)"
 		}
@@ -110,7 +110,7 @@ func (t *task) event(e timelineEntry) TimelineEvent {
 	case entryQueued:
 		detail = fmt.Sprintf("queue depth %d", e.n)
 	case entryStarted:
-		detail = "queue wait " + e.dur.String()
+		detail = "queue wait " + t.startedMono.Sub(t.submittedMono).Round(time.Microsecond).String()
 	case entryProgress:
 		detail = progressDetail(int(e.n), t.prep.Total, int(e.m))
 	case entryCancelRequested:
@@ -122,7 +122,8 @@ func (t *task) event(e timelineEntry) TimelineEvent {
 	case entryFailed:
 		detail = t.errMsg
 	case entryDone:
-		detail = fmt.Sprintf("%d runs, %d cache hits, ran %s", e.n, e.m, e.dur)
+		detail = fmt.Sprintf("%d runs, %d cache hits, ran %s", e.n, e.m,
+			t.finishedMono.Sub(t.startedMono).Round(time.Microsecond))
 	}
 	return TimelineEvent{TS: time.Unix(0, e.ts).UTC(), Event: entryEvents[e.kind], Detail: detail}
 }
